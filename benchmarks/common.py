@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 
 from repro.config import SystemConfig, scaled_config
-from repro.parallel.executor import resolve_jobs
+from repro.fabric.supervisor import resolve_jobs
 from repro.sim.runner import RunSettings
 
 

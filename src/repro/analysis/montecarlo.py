@@ -24,7 +24,15 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import SystemConfig, scaled_config
-from repro.parallel.executor import ParallelExecutor
+from repro.errors import CheckpointCorrupt, ConfigError
+from repro.fabric.chaos import ChaosAbort, ChaosPlan
+from repro.fabric.deadletter import DeadLetterLedger
+from repro.fabric.supervisor import (
+    QUARANTINED,
+    SINGLE_ATTEMPT,
+    Supervisor,
+    SupervisorPolicy,
+)
 from repro.parallel.profile_cache import ProfileCache
 from repro.partitioning.bank_aware import bank_aware_partition
 from repro.partitioning.registry import (
@@ -37,18 +45,17 @@ from repro.partitioning.unrestricted import predicted_misses, unrestricted_parti
 from repro.profiling.miss_curve import MissCurve
 from repro.profiling.msa import MSAProfiler
 from repro.resilience.checkpoint import SweepCheckpoint
-from repro.errors import CheckpointCorrupt, ConfigError
 from repro.telemetry.timing import wall_clock
 from repro.telemetry.tracer import Tracer
-
-#: traced sweeps emit one ``progress`` heartbeat per this fraction of the
-#: remaining work (at least every item); the cadence is a pure function of
-#: the item count, so serial and parallel streams stay equal.
-HEARTBEAT_FRACTION = 100
 from repro.util.atomic_write import atomic_write_text
 from repro.workloads.mixes import Mix, random_mixes
 from repro.workloads.spec_like import ALL_NAMES, get
 from repro.workloads.synthetic import generate_trace
+
+#: traced sweeps emit one ``progress`` heartbeat per this fraction of the
+#: sweep (at least every item); the cadence is a pure function of the
+#: item count, so serial, parallel and resumed streams stay equal.
+HEARTBEAT_FRACTION = 100
 
 
 def collect_profiles(
@@ -176,6 +183,10 @@ class MonteCarloResult:
     """
 
     points: list[MonteCarloPoint] = field(default_factory=list)
+    #: the sweep's :meth:`~repro.fabric.supervisor.Supervisor.summary`
+    #: (retries, degradations, quarantines): how the sweep ran, not what
+    #: it computed, so it is neither compared nor persisted.
+    supervision: dict | None = field(default=None, compare=False, repr=False)
     _cache: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -346,8 +357,12 @@ def run_monte_carlo(
     profile_accesses: int = 60_000,
     min_ways: int = 1,
     checkpoint_path: str | None = None,
+    checkpoint_every: int | None = None,
     resume: bool = False,
     jobs: int | None = None,
+    policy: SupervisorPolicy | None = None,
+    chaos: ChaosPlan | None = None,
+    deadletter: DeadLetterLedger | None = None,
     profile_cache: ProfileCache | None = None,
     tracer: Tracer | None = None,
     policies: tuple[str, ...] | None = None,
@@ -356,32 +371,49 @@ def run_monte_carlo(
     random workload sets.
 
     With ``checkpoint_path`` the sweep snapshots completed points to an
-    atomic JSON file every ``config.resilience.checkpoint_every`` mixes (and
-    on any exit, including exceptions); ``resume=True`` restores those
-    points and continues.  A snapshot whose metadata disagrees with the
-    current parameters raises
-    :class:`~repro.resilience.errors.CheckpointMismatchError`.
-    ``random_mixes`` draws mixes sequentially from the seed, so mix *i* is
-    identical across runs and a killed-and-resumed sweep reproduces the
-    uninterrupted one bit-for-bit — resuming into a larger ``num_mixes``
-    is likewise well-defined (prefix determinism).
+    atomic JSON file every ``checkpoint_every`` mixes (default
+    ``config.resilience.checkpoint_every``; and on any exit, including
+    exceptions); ``resume=True`` restores those points and continues.  A
+    snapshot whose metadata disagrees with the current parameters raises
+    :class:`~repro.errors.CheckpointMismatchError`.  ``random_mixes``
+    draws mixes sequentially from the seed, so mix *i* is identical across
+    runs and a killed-and-resumed sweep reproduces the uninterrupted one
+    bit-for-bit — resuming into a larger ``num_mixes`` is likewise
+    well-defined (prefix determinism).
 
-    ``jobs`` fans the mixes out over worker processes (default serial; see
-    :func:`repro.parallel.executor.resolve_jobs`).  Every mix is a pure
-    function of (curves, config, mix) and results merge in submission
-    order, so the points are bit-identical for every ``jobs`` value.
+    The mixes run through one :class:`~repro.fabric.supervisor.Supervisor`:
+    ``jobs`` fans them out over worker processes (default serial; see
+    :func:`~repro.fabric.supervisor.resolve_jobs`) and ``policy`` sets the
+    retry/deadline/quarantine contract (default
+    :data:`~repro.fabric.supervisor.SINGLE_ATTEMPT`: the first failure
+    aborts with a typed error).  Every mix is a pure function of (curves,
+    config, mix) and results merge in submission order, so the points are
+    bit-identical for every ``jobs`` value and every survived failure.
+    Quarantined items land in ``deadletter``; the supervisor's summary is
+    attached as :attr:`MonteCarloResult.supervision`.  ``chaos`` injects
+    the given fault plan into the worker function (and, via
+    ``abort_after``, simulates killing the driver mid-sweep).
 
-    ``tracer`` records one ``mc_point`` event per evaluated mix (emitted
-    parent-side in submission order, so serial and parallel runs produce
-    identical streams; see :mod:`repro.telemetry`).
+    ``tracer`` records one ``mc_point`` event per mix plus ``progress``
+    heartbeats over the whole sweep.  The stream is resume-stable:
+    ``run_meta`` omits the restored count, restored points are re-emitted
+    in their original slots, and the supervisor's ``sweep_item`` /
+    ``supervisor`` events are advisory — so a killed-and-resumed sweep's
+    canonical trace equals an uninterrupted serial run's.
 
     ``policies`` additionally projects each mix through the named registry
     policies (must be :func:`~repro.partitioning.registry.analytic_policies`)
     so the result can rank them (:meth:`MonteCarloResult.policy_ranking`).
     The extra per-point payload joins the checkpoint metadata, so a ranked
-    sweep never silently resumes a plain one (or vice versa) — legacy
+    sweep never silently resumes a plain one (or vice versa) — plain
     checkpoints keep their exact key set.
     """
+    policy = policy or SINGLE_ATTEMPT
+    if checkpoint_path is not None and policy.on_poison != "raise":
+        raise ConfigError(
+            "a checkpointed sweep needs on_poison='raise': skipping an item "
+            "would break the snapshot's contiguous-prefix invariant"
+        )
     cfg = config or scaled_config()
     if policies:
         policies = tuple(policies)
@@ -411,56 +443,70 @@ def run_monte_carlo(
         meta["policies"] = list(policies)
     ckpt = SweepCheckpoint(
         checkpoint_path, "monte-carlo", meta,
-        every=cfg.resilience.checkpoint_every, resume=resume,
+        every=checkpoint_every or cfg.resilience.checkpoint_every,
+        resume=resume,
     )
     # prefix determinism makes a longer snapshot a superset of this sweep
     result = MonteCarloResult(points=_restore_points(ckpt.completed, num_mixes))
     mixes = random_mixes(num_mixes, cfg.num_cores, seed=seed)
     if tracer is not None:
         tracer.emit_run_meta(
-            "monte-carlo",
-            detail=f"{num_mixes} mixes, seed {seed}, "
-            f"{len(result.points)} restored",
+            "monte-carlo", detail=f"{num_mixes} mixes, seed {seed}"
         )
-    executor = ParallelExecutor(
-        jobs, initializer=_montecarlo_init,
+    supervisor = Supervisor(
+        jobs, policy=policy, initializer=_montecarlo_init,
         initargs=(curves, cfg, min_ways, policies),
-        tracer=tracer,
+        tracer=tracer, deadletter=deadletter,
+        sweep=f"monte-carlo seed {seed}",
     )
+    heartbeat = max(1, num_mixes // HEARTBEAT_FRACTION)
+    start = wall_clock() if tracer is not None else 0.0
+
+    def note(point: MonteCarloPoint, index: int) -> None:
+        if tracer is None:
+            return
+        extra = (
+            {"policies": point.policy_misses}
+            if point.policy_misses is not None
+            else {}
+        )
+        tracer.emit(
+            "mc_point",
+            index=index,
+            mix=list(point.mix.names),
+            equal_misses=point.equal_misses,
+            unrestricted_misses=point.unrestricted_misses,
+            bank_aware_misses=point.bank_aware_misses,
+            ways=point.bank_aware_ways,
+            **extra,
+        )
+        done = index + 1
+        if done % heartbeat == 0 or done == num_mixes:
+            tracer.emit(
+                "progress", done=done, total=num_mixes,
+                source="montecarlo", wall_s=wall_clock() - start,
+            )
+
+    for index, point in enumerate(result.points):
+        note(point, index)
+    fn = chaos.wrap(_montecarlo_point) if chaos is not None else _montecarlo_point
+    abort_after = chaos.abort_after if chaos is not None else None
+    todo = mixes[len(result.points):]
     try:
-        todo = mixes[len(result.points):]
-        heartbeat = max(1, len(todo) // HEARTBEAT_FRACTION)
-        start = wall_clock() if tracer is not None else 0.0
-        done = 0
-        for point in executor.map_ordered(
-            _montecarlo_point, todo, labels=[str(m) for m in todo]
+        for point in supervisor.map_ordered(
+            fn, todo, labels=[str(m) for m in todo]
         ):
-            if tracer is not None:
-                extra = (
-                    {"policies": point.policy_misses}
-                    if point.policy_misses is not None
-                    else {}
-                )
-                tracer.emit(
-                    "mc_point",
-                    index=len(result.points),
-                    mix=list(point.mix.names),
-                    equal_misses=point.equal_misses,
-                    unrestricted_misses=point.unrestricted_misses,
-                    bank_aware_misses=point.bank_aware_misses,
-                    ways=point.bank_aware_ways,
-                    **extra,
-                )
+            if point is QUARANTINED:
+                continue  # only reachable under on_poison='skip'
+            note(point, len(result.points))
             result.points.append(point)
             ckpt.record(point.to_dict())
-            done += 1
-            if tracer is not None and (
-                done % heartbeat == 0 or done == len(todo)
-            ):
-                tracer.emit(
-                    "progress", done=done, total=len(todo),
-                    source="montecarlo", wall_s=wall_clock() - start,
+            if abort_after is not None and len(result.points) == abort_after:
+                # the simulated driver kill: leave only the checkpoint
+                raise ChaosAbort(
+                    f"injected driver abort after {abort_after} points"
                 )
     finally:
         ckpt.save()  # snapshot on kill/exception too, not just at the end
+    result.supervision = supervisor.summary()
     return result

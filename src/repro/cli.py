@@ -8,9 +8,8 @@ Gives downstream users the paper's pipeline without writing Python:
   partitioning policy (``--scheme``; see :mod:`repro.partitioning.registry`).
 * ``compare``    — several schemes on one mix (the paper's three by
   default, any registered policies via ``--scheme``), relative metrics.
-* ``montecarlo`` — analytic sweep over random mixes, checkpoint/resumable;
-  ``--backend inproc|pool|local-cluster`` runs it under the fault-tolerant
-  fabric (supervised retries, deadlines, dead-letter quarantine).
+* ``montecarlo`` — analytic sweep over random mixes, checkpoint/resumable,
+  supervised (retries, deadlines, dead-letter quarantine) on any ``--jobs``.
 * ``chaos``      — fault-injection harness: chaos sweep + driver kill +
   resume must equal a clean serial run (``repro diff`` gate).
 * ``bench``      — perf-tracking benchmark suite (writes BENCH_sweep.json),
@@ -38,7 +37,7 @@ Examples::
     python -m repro simulate --set 1 --sanitize --trace trace.jsonl --store
     python -m repro montecarlo --mixes 1000 --jobs 4 --checkpoint mc.json
     python -m repro montecarlo --mixes 200 --rank-policies
-    python -m repro montecarlo --mixes 200 --backend pool --jobs 4 --timeout 60
+    python -m repro montecarlo --mixes 200 --jobs 4 --timeout 60
     python -m repro chaos --mixes 12 --kill 1 --crash 2 --truncate-checkpoint
     python -m repro simulate --set 1 --trace trace.jsonl --spans
     python -m repro report trace.jsonl --check --chrome trace.chrome.json
@@ -69,13 +68,11 @@ from repro.analysis import (
 )
 from repro.config import SystemConfig, scaled_config
 from repro.fabric import (
-    DEFAULT_SHARD_SIZE,
     ChaosAbort,
     ChaosPlan,
     DeadLetterLedger,
     SupervisorPolicy,
     pick_labels,
-    run_fabric_monte_carlo,
     truncate_file,
 )
 from repro.lint import (
@@ -119,8 +116,11 @@ from repro.obs import (
     render_attribution_text,
     render_diff_json,
     render_diff_text,
+    render_digest_json,
+    render_digest_text,
     render_gate_text,
     render_runs_query_text,
+    render_spans_text,
     render_stats_csv,
     render_stats_json,
     render_stats_text,
@@ -156,12 +156,9 @@ from repro.telemetry import (
     Tracer,
     check_trace,
     read_jsonl,
-    render_spans_text,
     write_chrome_trace,
     write_jsonl,
 )
-from repro.telemetry import render_json as render_trace_json
-from repro.telemetry import render_text as render_trace_text
 from repro.workloads import ALL_NAMES, TABLE_III_SETS, Mix, get, suite
 
 
@@ -603,9 +600,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         if args.spans:
             print(render_spans_text(events))
         elif args.format == "json":
-            print(render_trace_json(events))
+            print(render_digest_json(events))
         else:
-            print(render_trace_text(events))
+            print(render_digest_text(events))
     return 0
 
 
@@ -700,49 +697,28 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     policies = analytic_policies() if args.rank_policies else None
     # live sink for 'repro watch'; write_jsonl atomically finalises it
     tracer = Tracer(sink=args.trace) if args.trace else None
-    supervisor_summary = None
-    if args.backend == "legacy":
-        result = run_monte_carlo(
-            args.mixes,
-            cfg,
-            seed=args.seed,
-            profile_accesses=args.accesses,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            jobs=args.jobs,
-            profile_cache=_profile_cache(args),
-            tracer=tracer,
-            policies=policies,
-        )
-    else:
-        policy = SupervisorPolicy(
+    result = run_monte_carlo(
+        args.mixes,
+        cfg,
+        seed=args.seed,
+        profile_accesses=args.accesses,
+        checkpoint_path=args.checkpoint,
+        resume=args.resume,
+        jobs=args.jobs,
+        policy=SupervisorPolicy(
             max_attempts=args.max_attempts, timeout_s=args.timeout
-        )
-        run = run_fabric_monte_carlo(
-            args.mixes,
-            cfg,
-            seed=args.seed,
-            profile_accesses=args.accesses,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            backend=args.backend,
-            jobs=args.jobs,
-            policy=policy,
-            profile_cache=_profile_cache(args),
-            tracer=tracer,
-            deadletter=(
-                DeadLetterLedger(args.deadletter) if args.deadletter else None
-            ),
-            cluster_root=args.cluster_root,
-            shard_size=args.shard_size,
-            policies=policies,
-        )
-        result = run.result
-        supervisor_summary = run.supervisor_summary()
-        actions = supervisor_summary.get("actions") or {}
-        if actions:
-            recap = ", ".join(f"{k} x{v}" for k, v in sorted(actions.items()))
-            print(f"supervision: {recap}")
+        ),
+        deadletter=(
+            DeadLetterLedger(args.deadletter) if args.deadletter else None
+        ),
+        profile_cache=_profile_cache(args),
+        tracer=tracer,
+        policies=policies,
+    )
+    actions = result.supervision["actions"]
+    if actions:
+        recap = ", ".join(f"{k} x{v}" for k, v in sorted(actions.items()))
+        print(f"supervision: {recap}")
     if tracer is not None:
         tracer.write_jsonl(args.trace)
         print(f"trace: {args.trace} ({len(tracer.events)} events)")
@@ -774,10 +750,9 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         config=cfg,
         settings={"mixes": args.mixes, "seed": args.seed,
                   "profile_accesses": args.accesses, "jobs": args.jobs,
-                  "scale": args.scale, "epoch_cycles": args.epoch,
-                  "backend": args.backend},
+                  "scale": args.scale, "epoch_cycles": args.epoch},
         headline=headline_from_montecarlo(result),
-        supervisor=supervisor_summary,
+        supervisor=result.supervision,
         trace_events=tracer.events if tracer is not None else None,
     )
     return 0
@@ -797,8 +772,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     """The chaos harness: break a sweep on purpose, prove it heals.
 
     Three phases: (1) a clean in-process reference sweep; (2) the same
-    sweep on the process-pool backend with seeded faults injected and a
-    simulated driver kill mid-flight; (3) a resume from the checkpoint.
+    sweep on a process pool with seeded faults injected and a simulated
+    driver kill mid-flight; (3) a resume from the checkpoint.
     The gate is ``repro diff`` semantics on phases 1 and 3: the canonical
     traces must be bit-identical, or the command exits non-zero.
     """
@@ -851,9 +826,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     print(f"phase 1/3: clean in-process reference sweep ({args.mixes} mixes)")
     t_clean = Tracer()
-    run_fabric_monte_carlo(
-        args.mixes, backend="inproc", tracer=t_clean, **sweep_kwargs
-    )
+    run_monte_carlo(args.mixes, jobs=1, tracer=t_clean, **sweep_kwargs)
     serial_trace = workdir / "serial.jsonl"
     t_clean.write_jsonl(serial_trace)
 
@@ -865,7 +838,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         if count
     ) or "none"
     print(
-        f"phase 2/3: chaos sweep on the pool backend (faults: {faults}; "
+        f"phase 2/3: chaos sweep on a {jobs}-job pool (faults: {faults}; "
         f"driver abort after {abort_after} points)"
     )
     checkpoint = workdir / "checkpoint.json"
@@ -874,8 +847,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     every = max(1, abort_after // 3)
     t_chaos = Tracer()
     try:
-        run_fabric_monte_carlo(
-            args.mixes, backend="pool", jobs=jobs, policy=policy,
+        run_monte_carlo(
+            args.mixes, jobs=jobs, policy=policy,
             chaos=plan, checkpoint_path=str(checkpoint),
             checkpoint_every=every, tracer=t_chaos,
             deadletter=ledger, **sweep_kwargs,
@@ -898,8 +871,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     print("phase 3/3: resume from the checkpoint")
     t_resume = Tracer()
-    resumed = run_fabric_monte_carlo(
-        args.mixes, backend="pool", jobs=jobs, policy=policy,
+    resumed = run_monte_carlo(
+        args.mixes, jobs=jobs, policy=policy,
         chaos=_dc.replace(plan, abort_after=None),
         checkpoint_path=str(checkpoint), checkpoint_every=every,
         resume=True, tracer=t_resume, deadletter=ledger, **sweep_kwargs,
@@ -932,14 +905,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 labels, args.poison, args.chaos_seed, "poison"
             ),
         )
-        poison_run = run_fabric_monte_carlo(
-            args.mixes, backend="pool", jobs=jobs,
+        poison_run = run_monte_carlo(
+            args.mixes, jobs=jobs,
             policy=_dc.replace(policy, on_poison="skip"),
             chaos=poison_plan, deadletter=ledger, **sweep_kwargs,
         )
-        quarantined = args.mixes - len(poison_run.result.points)
+        quarantined = args.mixes - len(poison_run.points)
         print(
-            f"  {len(poison_run.result.points)}/{args.mixes} points "
+            f"  {len(poison_run.points)}/{args.mixes} points "
             f"computed, {quarantined} quarantined "
             f"(ledger now {len(ledger)} entries)"
         )
@@ -953,9 +926,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                   "profile_accesses": args.accesses, "jobs": args.jobs,
                   "scale": args.scale, "epoch_cycles": args.epoch,
                   "faults": plan.describe(), "poison": args.poison},
-        headline=headline_from_montecarlo(resumed.result),
+        headline=headline_from_montecarlo(resumed),
         supervisor={
-            **resumed.supervisor_summary(),
+            **resumed.supervision,
             "actions": actions,
             "deadletter_entries": len(ledger),
             "poison_quarantined": quarantined,
@@ -1143,30 +1116,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="memoize the per-workload miss curves on disk "
                         "(default dir: $REPRO_PROFILE_CACHE or "
                         "~/.cache/repro/profiles)")
-    p.add_argument("--backend",
-                   choices=("legacy", "inproc", "pool", "local-cluster"),
-                   default="legacy",
-                   help="execution backend: 'legacy' is the unsupervised "
-                        "PR-4 runner; the rest run under the fault-tolerant "
-                        "fabric (retries, deadlines, degradation ladder)")
     p.add_argument("--timeout", type=_positive_float, default=None,
                    metavar="S",
-                   help="fabric wall deadline per work item, seconds "
-                        "(fabric backends only)")
+                   help="wall deadline per work item, seconds (enforced "
+                        "on the process pool, i.e. with --jobs > 1)")
     p.add_argument("--max-attempts", type=_positive_int, default=3,
                    metavar="N",
-                   help="fabric retry budget per work item (default 3)")
+                   help="retry budget per work item (default 3)")
     p.add_argument("--deadletter", metavar="PATH",
-                   help="append quarantined items to this JSONL ledger "
-                        "(fabric backends only)")
-    p.add_argument("--cluster-root", metavar="DIR",
-                   help="shared directory of the local-cluster file queue "
-                        "(required for --backend local-cluster; rerunning "
-                        "against the same root resumes from its shards)")
-    p.add_argument("--shard-size", type=_positive_int,
-                   default=DEFAULT_SHARD_SIZE, metavar="N",
-                   help="mixes per local-cluster shard "
-                        f"(default {DEFAULT_SHARD_SIZE})")
+                   help="append quarantined items to this JSONL ledger")
     p.add_argument("--rank-policies", action="store_true",
                    help="additionally project every mix through each "
                         "analytically rankable registry policy "

@@ -168,7 +168,7 @@ class ResilienceConfig:
     checkpoint_every: int = 25
     #: deep runtime invariant checking (LRU-stack uniqueness, way
     #: conservation, MSA mass, Rules 1-3 post-aggregation).  Expensive;
-    #: violations raise :class:`~repro.resilience.errors.SanitizerViolation`
+    #: violations raise :class:`~repro.errors.SanitizerViolation`
     #: and are never contained by the guard.
     sanitize: bool = False
 

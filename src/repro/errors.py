@@ -3,8 +3,6 @@
 This module is a dependency *leaf* (it imports nothing from the
 package), so every layer — ``repro.config`` at the bottom, the lint
 engine at the top — can raise taxonomy errors without import cycles.
-It moved here from ``repro.resilience.errors``, which remains as a
-compatibility re-export.
 
 Every failure the resilience machinery can detect — and therefore contain —
 is a :class:`ReproError`, so callers (the epoch controller, the sweep
@@ -29,7 +27,6 @@ __all__ = [
     "ReproError",
     "SanitizerViolation",
     "SimulationInvariantError",
-    "WorkerCrashError",
 ]
 
 
@@ -63,33 +60,15 @@ class PartitionInvariantError(ReproError, ValueError):
     """
 
 
-class WorkerCrashError(ReproError):
-    """A sweep worker raised while evaluating one work item.
-
-    Wraps the worker's exception (available as ``__cause__``) with the
-    submission ``index`` and trace ``label`` of the item that failed, so a
-    thousand-item sweep aborts with *which* item died instead of a raw
-    traceback from an anonymous pool process.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        index: int | None = None,
-        label: str | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.index = index
-        self.label = label
-
-
 class PoisonItemError(ReproError):
-    """A work item kept failing after every permitted retry.
+    """A sweep work item failed on every permitted attempt.
 
-    Raised by the fabric supervisor once an item has exhausted its retry
-    budget and been quarantined into the dead-letter ledger; ``attempts``
-    counts how many times it was tried.
+    Raised by the :class:`~repro.fabric.supervisor.Supervisor` once an item
+    has exhausted its attempts (one, for the plain sweeps) and been
+    quarantined, so a thousand-item sweep aborts naming *which* item died
+    (``index``, ``label``) instead of a raw traceback from an anonymous
+    pool process.  The worker's last exception is chained as
+    ``__cause__``; ``attempts`` counts how many times the item was tried.
     """
 
     def __init__(

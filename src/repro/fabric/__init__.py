@@ -1,24 +1,16 @@
-"""The fault-tolerant sweep fabric: supervised execution over the
-parallel layer.
+"""The sweep fabric: the one supervised fan-out every sweep runs through.
 
-``repro.parallel`` fans pure work items out over processes; this package
-wraps that fan-out in a *supervision contract* — bounded retries with
-seeded backoff, wall deadlines, a pool → fresh-pool → serial degradation
-ladder, poison-item quarantine into a dead-letter ledger — plus pluggable
-backends (in-process, process pool, file-queue local cluster) and a chaos
-harness that injects worker crashes, kills, hangs, and poison items on a
-seed.  The design contract throughout: recovery explains *how* a run
-survived (advisory telemetry, run-store manifest) and never changes
-*what* it computed (canonical traces stay bit-identical).
+:class:`Supervisor` fans pure work items out over processes (or runs them
+in-process when ``jobs=1``) and yields results in submission order under
+a *supervision contract* — bounded retries with seeded backoff, wall
+deadlines, a pool → fresh-pool → serial degradation ladder, poison-item
+quarantine into a dead-letter ledger.  :mod:`~repro.fabric.chaos` injects
+worker crashes, kills, hangs and poison items on a seed to prove it.  The
+design contract throughout: recovery explains *how* a run survived
+(advisory telemetry, run-store manifest) and never changes *what* it
+computed (canonical traces stay bit-identical).
 """
 
-from repro.fabric.backends import (
-    BACKENDS,
-    DEFAULT_SHARD_SIZE,
-    LocalClusterBackend,
-    SupervisedBackend,
-    make_backend,
-)
 from repro.fabric.chaos import (
     ChaosAbort,
     ChaosPlan,
@@ -35,30 +27,26 @@ from repro.fabric.deadletter import (
 from repro.fabric.supervisor import (
     QUARANTINED,
     RUNGS,
+    SINGLE_ATTEMPT,
     Supervisor,
     SupervisorPolicy,
+    resolve_jobs,
 )
-from repro.fabric.sweep import FabricRun, run_fabric_monte_carlo
 
 __all__ = [
-    "BACKENDS",
     "DEFAULT_DEADLETTER",
-    "DEFAULT_SHARD_SIZE",
     "ChaosAbort",
     "ChaosPlan",
     "ChaosWrapped",
     "DeadLetterError",
     "DeadLetterLedger",
-    "FabricRun",
     "InjectedWorkerCrash",
-    "LocalClusterBackend",
     "QUARANTINED",
     "RUNGS",
-    "SupervisedBackend",
+    "SINGLE_ATTEMPT",
     "Supervisor",
     "SupervisorPolicy",
-    "make_backend",
     "pick_labels",
-    "run_fabric_monte_carlo",
+    "resolve_jobs",
     "truncate_file",
 ]

@@ -1,9 +1,25 @@
-"""Supervised execution of pure work items: retry, timeout, degrade.
+"""Supervised, order-preserving fan-out of pure work items.
 
-The :class:`Supervisor` is the fault boundary of the sweep fabric.  It
-drives the same order-preserving, bounded-window submission discipline as
-:class:`~repro.parallel.executor.ParallelExecutor`, but wraps every work
-item in a supervision contract:
+The :class:`Supervisor` is the one way work leaves the driver process:
+the Monte Carlo runner, the detailed sweeps and ``compare`` all hand
+their items to :meth:`Supervisor.map_ordered`.  Three properties hold for
+every caller:
+
+1. **Serial is the default.**  ``jobs=1`` runs items in the caller's
+   process, in order, with no pickling — numerically identical to a plain
+   loop.
+2. **Results come back in submission order.**  Completions arriving out
+   of order are buffered until the contiguous prefix is ready, so
+   :class:`~repro.resilience.checkpoint.SweepCheckpoint` contiguous-prefix
+   semantics — and therefore bit-identical kill/resume — hold for every
+   ``jobs`` value.  A bounded submission window (``4 * jobs``) keeps
+   memory flat on thousand-item sweeps.
+3. **Workers are pure.**  An item's result is a function of the item and
+   the immutable initializer payload; supervision adds no randomness to
+   *what* is computed.
+
+Around that core sits the supervision contract, configured by a
+:class:`SupervisorPolicy` (the plain sweeps use :data:`SINGLE_ATTEMPT`):
 
 * **bounded retries** — an item whose worker raises is retried up to
   ``max_attempts`` starts, with *seeded deterministic backoff*: the delay
@@ -14,30 +30,28 @@ item in a supervision contract:
   clock); an item running past ``timeout_s`` has its pool killed — a
   ``ProcessPoolExecutor`` cannot cancel a *running* future, so the only
   honest preemption is process termination — and is resubmitted;
-* **a graceful-degradation ladder** mirroring the decision guard's
-  (PR 1): ``pool → fresh-pool → serial``.  A broken pool (worker killed
-  hard) or a deadline expiry advances one rung; in-flight items are
-  requeued, and the final rung runs in-process where nothing short of
-  killing the parent can interrupt it;
-* **poison quarantine** — an item that exhausts its retry budget is
-  recorded in the :class:`~repro.fabric.deadletter.DeadLetterLedger` and
-  either aborts the sweep (``on_poison="raise"``, the default: a
+* **a graceful-degradation ladder** mirroring the decision guard's:
+  ``pool → fresh-pool → serial``.  A broken pool (worker killed hard) or
+  a deadline expiry advances one rung; in-flight items are requeued, and
+  the final rung runs in-process where nothing short of killing the
+  parent can interrupt it;
+* **poison quarantine** — an item that exhausts its attempts is recorded
+  in the :class:`~repro.fabric.deadletter.DeadLetterLedger` and either
+  aborts the sweep with :class:`~repro.errors.PoisonItemError` chained to
+  the worker's exception (``on_poison="raise"``, the default: a
   checkpointed sweep must stay a contiguous prefix) or yields the
   :data:`QUARANTINED` sentinel in its slot (``on_poison="skip"``).
 
-Every action emits an advisory ``supervisor`` telemetry event (dropped
-from the canonical projection — recovery explains *how* the run survived,
-never changes *what* it computed) and is tallied for the run-store
-manifest via :meth:`Supervisor.summary`.
-
-Results are yielded strictly in submission order, so
-:class:`~repro.resilience.checkpoint.SweepCheckpoint` contiguous-prefix
-semantics — and therefore bit-identical kill/resume — hold under every
-failure the supervisor can contain.
+With a tracer attached, every yielded item emits one ``sweep_item`` event
+(its wall time) and every supervision action one ``supervisor`` event.
+Both are advisory — dropped from the canonical projection — because they
+describe *how* the sweep ran, never *what* it computed; the actions are
+also tallied for the run-store manifest via :meth:`Supervisor.summary`.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -46,17 +60,19 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any
 
-from repro.fabric.deadletter import DeadLetterLedger
-from repro.parallel.executor import WINDOW_PER_JOB, resolve_jobs
 from repro.errors import ConfigError, PoisonItemError
+from repro.fabric.deadletter import DeadLetterLedger
 from repro.telemetry.metrics import Histogram, MetricsRegistry
-from repro.telemetry.spans import SpanRecorder, maybe_span
 from repro.telemetry.timing import wall_clock
 from repro.telemetry.tracer import Tracer
 from repro.util.rng import rng_stream
 
 #: the degradation ladder, least to most degraded.
 RUNGS = ("pool", "fresh-pool", "serial")
+
+#: submission-window multiple: at most this many items per worker are
+#: in flight or buffered at once.
+WINDOW_PER_JOB = 4
 
 #: yielded in a quarantined item's slot under ``on_poison="skip"`` so the
 #: consumer keeps positional alignment with the submitted items.
@@ -66,6 +82,29 @@ QUARANTINED = type("_Quarantined", (), {
 
 #: patchable sleep used for retry backoff (tests stub it out).
 _sleep = time.sleep
+
+
+def resolve_jobs(jobs: int | None = None) -> int:
+    """Worker count from an explicit ``--jobs`` value or ``REPRO_JOBS``.
+
+    ``None`` consults the environment and defaults to 1 (serial); ``0``
+    means one worker per available CPU.  Anything negative is refused.
+    """
+    if jobs is None:
+        env = os.environ.get("REPRO_JOBS", "").strip()
+        if not env:
+            return 1
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ConfigError(
+                f"REPRO_JOBS must be an integer, got {env!r}"
+            ) from None
+    if jobs == 0:
+        return os.cpu_count() or 1
+    if jobs < 0:
+        raise ConfigError(f"jobs must be >= 0, got {jobs}")
+    return jobs
 
 
 @dataclass(frozen=True)
@@ -117,38 +156,32 @@ class SupervisorPolicy:
         return float(scale * jitter)
 
 
-def emit_supervisor_event(
-    events: list[dict],
-    tracer: Tracer | None,
-    metrics: MetricsRegistry | None,
-    *,
-    kind: str,
-    index: int,
-    attempt: int,
-    label: str | None = None,
-    rung: str | None = None,
-    detail: str | None = None,
-) -> dict:
-    """Record one supervision action everywhere it is observable: the
-    in-memory action log (-> run-store manifest), the advisory telemetry
-    stream, and the metrics registry."""
-    record: dict = {"kind": kind, "index": index, "attempt": attempt}
-    if label is not None:
-        record["label"] = label
-    if rung is not None:
-        record["rung"] = rung
-    if detail is not None:
-        record["detail"] = detail
-    events.append(record)
-    if tracer is not None:
-        tracer.emit("supervisor", **record)
-    if metrics is not None:
-        metrics.counter(f"supervisor.{kind}").inc()
-    return record
+#: the plain sweep contract: one attempt, no deadline — the first worker
+#: exception aborts the sweep as a typed, item-naming PoisonItemError.
+SINGLE_ATTEMPT = SupervisorPolicy(max_attempts=1)
 
 
 class Supervisor:
-    """Fault-bounded, order-preserving fan-out of pure work items."""
+    """Fault-bounded, order-preserving fan-out of pure work items.
+
+    Parameters
+    ----------
+    jobs:
+        Worker processes (see :func:`resolve_jobs`); 1 = in-process serial.
+    policy:
+        Retry/deadline/poison contract (default :class:`SupervisorPolicy`).
+    initializer / initargs:
+        Per-worker setup, the standard way to ship a large shared payload
+        (e.g. the 26 miss curves) once per worker instead of once per
+        item.  The serial rung calls it once in-process, so worker
+        functions read the same module-level state either way.
+    tracer / metrics:
+        Optional telemetry sinks for the advisory ``sweep_item`` and
+        ``supervisor`` events and the ``supervisor.*`` counters.
+    deadletter / sweep:
+        Ledger that quarantined items are appended to, and the sweep name
+        recorded with them.
+    """
 
     def __init__(
         self,
@@ -159,7 +192,6 @@ class Supervisor:
         initargs: tuple[Any, ...] = (),
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        spans: SpanRecorder | None = None,
         deadletter: DeadLetterLedger | None = None,
         sweep: str = "",
     ) -> None:
@@ -169,7 +201,6 @@ class Supervisor:
         self._initargs = initargs
         self.tracer = tracer
         self.metrics = metrics
-        self.spans = spans
         self.deadletter = deadletter
         self.sweep = sweep
         #: every supervision action taken, in order (manifest material).
@@ -199,11 +230,20 @@ class Supervisor:
         label: str | None = None,
         detail: str | None = None,
     ) -> None:
-        emit_supervisor_event(
-            self.events, self.tracer, self.metrics,
-            kind=kind, index=index, attempt=attempt, label=label,
-            rung=self.rung, detail=detail,
-        )
+        """Record one supervision action everywhere it is observable: the
+        in-memory action log (-> run-store manifest), the advisory
+        telemetry stream, and the metrics registry."""
+        record: dict = {"kind": kind, "index": index, "attempt": attempt}
+        if label is not None:
+            record["label"] = label
+        record["rung"] = self.rung
+        if detail is not None:
+            record["detail"] = detail
+        self.events.append(record)
+        if self.tracer is not None:
+            self.tracer.emit("supervisor", **record)
+        if self.metrics is not None:
+            self.metrics.counter(f"supervisor.{kind}").inc()
 
     def _observe_item_wall(self, wall_s: float) -> None:
         hist = self._item_wall.get(self.rung)
@@ -273,7 +313,12 @@ class Supervisor:
     # -- quarantine / retry shared paths ------------------------------------
 
     def _quarantine(
-        self, index: int, label: str, attempts: int, error: str
+        self,
+        index: int,
+        label: str,
+        attempts: int,
+        error: str,
+        cause: BaseException | None = None,
     ) -> None:
         """Give up on one item: ledger, event, then raise or mark skipped."""
         if self.deadletter is not None:
@@ -288,10 +333,10 @@ class Supervisor:
         self.quarantined_indices.append(index)
         if self.policy.on_poison == "raise":
             raise PoisonItemError(
-                f"work item #{index} ({label}) failed all "
-                f"{attempts} attempts: {error}",
+                f"work item #{index} ({label}) failed after {attempts} "
+                f"attempt(s): {error}",
                 index=index, label=label, attempts=attempts,
-            )
+            ) from cause
 
     def _retry(self, index: int, label: str, attempt: int, error: str) -> None:
         self._emit(
@@ -303,7 +348,7 @@ class Supervisor:
 
     # -- the supervised map --------------------------------------------------
 
-    def map_supervised(
+    def map_ordered(
         self,
         fn: Callable[[Any], Any],
         items: Iterable[Any],
@@ -311,7 +356,13 @@ class Supervisor:
         labels: Sequence[str] | None = None,
     ) -> Iterator[Any]:
         """Apply ``fn`` to every item under supervision, yielding results
-        in item order (:data:`QUARANTINED` fills a skipped item's slot)."""
+        in item order (:data:`QUARANTINED` fills a skipped item's slot).
+
+        ``labels`` (aligned with ``items``) names the items in events,
+        errors and the dead-letter ledger; it defaults to the item index.
+        Abandoning the generator or an exception kills the pool, so no
+        queued item runs after the sweep is over.
+        """
         work: Sequence[Any] = list(items)
         if labels is not None and len(labels) != len(work):
             raise ConfigError(f"{len(labels)} labels for {len(work)} items")
@@ -336,13 +387,19 @@ class Supervisor:
         attempts = [0] * total  # starts, including the first
         queue: deque[int] = deque(range(total))
         pending: dict[int, tuple[Any, float]] = {}  # index -> (future, t0)
-        ready: dict[int, Any] = {}
+        ready: dict[int, tuple[Any, float]] = {}  # index -> (result, wall_s)
         skipped: set[int] = set()
         emitted = 0
         while emitted < total:
             while emitted < total and (emitted in ready or emitted in skipped):
                 if emitted in ready:
-                    yield ready.pop(emitted)
+                    result, wall_s = ready.pop(emitted)
+                    if self.tracer is not None:
+                        self.tracer.emit(
+                            "sweep_item", index=emitted,
+                            label=self._label(labels, emitted), wall_s=wall_s,
+                        )
+                    yield result
                 else:
                     skipped.discard(emitted)
                     yield QUARANTINED
@@ -356,6 +413,11 @@ class Supervisor:
                 self._step_pool(fn, work, labels, attempts, queue,
                                 pending, ready, skipped, window,
                                 already_buffered=len(ready) + len(skipped))
+
+    def _complete(self, ready, index: int, result: Any, t0: float) -> None:
+        wall_s = wall_clock() - t0
+        self._observe_item_wall(wall_s)
+        ready[index] = (result, wall_s)
 
     # -- serial rung ---------------------------------------------------------
 
@@ -376,20 +438,20 @@ class Supervisor:
         while True:
             attempts[index] += 1
             self.total_attempts += 1
+            t0 = wall_clock()
             try:
-                t0 = wall_clock()
-                with maybe_span(self.spans, "supervisor.item"):
-                    ready[index] = fn(work[index])
-                self._observe_item_wall(wall_clock() - t0)
-                return
+                result = fn(work[index])
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 if attempts[index] >= self.policy.max_attempts:
                     # raises under on_poison='raise'
-                    self._quarantine(index, label, attempts[index], error)
+                    self._quarantine(index, label, attempts[index], error, exc)
                     skipped.add(index)
                     return
                 self._retry(index, label, attempts[index], error)
+                continue
+            self._complete(ready, index, result, t0)
+            return
 
     # -- pool rungs ----------------------------------------------------------
 
@@ -440,17 +502,15 @@ class Supervisor:
             timeout = max(
                 0.0, oldest + self.policy.timeout_s - wall_clock()
             ) + 0.02
-        with maybe_span(self.spans, "supervisor.wait"):
-            wait(
-                [f for f, _t0 in pending.values()],
-                timeout=timeout, return_when=FIRST_COMPLETED,
-            )
+        wait(
+            [f for f, _t0 in pending.values()],
+            timeout=timeout, return_when=FIRST_COMPLETED,
+        )
         for index in [i for i, (f, _t0) in pending.items() if f.done()]:
             future, t0 = pending.pop(index)
             label = self._label(labels, index)
             try:
-                ready[index] = future.result()
-                self._observe_item_wall(wall_clock() - t0)
+                result = future.result()
             except BrokenProcessPool as exc:
                 # a worker died hard (kill -9 / os._exit): the whole pool
                 # is unusable and *every* in-flight item is collateral
@@ -465,11 +525,15 @@ class Supervisor:
                 error = f"{type(exc).__name__}: {exc}"
                 if attempts[index] >= self.policy.max_attempts:
                     # raises under on_poison='raise'
-                    self._quarantine(index, label, attempts[index], error)
+                    self._quarantine(
+                        index, label, attempts[index], error, exc
+                    )
                     skipped.add(index)
                 else:
                     self._retry(index, label, attempts[index], error)
                     queue.appendleft(index)
+                continue
+            self._complete(ready, index, result, t0)
         # deadline sweep: anything still pending past its budget
         if self.policy.timeout_s is None or not pending:
             return

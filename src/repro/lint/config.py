@@ -53,7 +53,7 @@ DEFAULT_EXCLUDE = ("__pycache__", ".git", "_bootstrap", "build", "dist")
 class LintConfigError(ReproError, ValueError):
     """``[tool.repro-lint]`` contains an out-of-domain value.
 
-    Inherits :class:`~repro.resilience.errors.ReproError` so the CLI
+    Inherits :class:`~repro.errors.ReproError` so the CLI
     boundary turns a bad config into a clean exit-2 instead of a traceback
     (the same contract ERR001 enforces on everything else), and
     ``ValueError`` so pre-taxonomy callers keep working.
@@ -96,11 +96,7 @@ class LintConfig:
     #: the taxonomy base every CLI-reachable raise must derive from.
     err001_base: str = "repro.errors.ReproError"
     #: attribute-call names treated as worker submissions (PAR001/PAR002).
-    xmod_submit_methods: tuple[str, ...] = (
-        "map_ordered",
-        "map_supervised",
-        "submit",
-    )
+    xmod_submit_methods: tuple[str, ...] = ("map_ordered",)
     #: module whose EVENT_SCHEMAS/COMMON_FIELDS TEL001 checks against.
     tel001_events_module: str = "repro.telemetry.events"
 

@@ -20,8 +20,8 @@ symbol table:
 * a nested ``def`` gets an edge from its enclosing unit (it only exists
   because the parent created it — conservative for reachability).
 
-Receiver-typed method calls (``executor.map_ordered(...)`` where
-``executor`` is a local) are *not* resolved — the pass has no type
+Receiver-typed method calls (``supervisor.map_ordered(...)`` where
+``supervisor`` is a local) are *not* resolved — the pass has no type
 inference — which is the documented unsoundness boundary: reachability is
 an under-approximation on dynamic dispatch and an over-approximation on
 nested defs.

@@ -28,8 +28,8 @@ MUTATING_METHODS = frozenset({
 })
 
 #: method names at which a callable + work items are handed to a process
-#: fan-out (the executor, the supervisor, raw pool submission).
-DEFAULT_SUBMIT_METHODS = ("map_ordered", "map_supervised", "submit")
+#: fan-out (the supervisor's ``map_ordered``).
+DEFAULT_SUBMIT_METHODS = ("map_ordered",)
 
 
 def is_mutable_literal(node: ast.expr) -> bool:
@@ -134,7 +134,7 @@ class SubmissionSite:
     """One hand-off of a callable to a process fan-out API."""
 
     call: ast.Call
-    method: str  #: map_ordered / map_supervised / submit / (constructor)
+    method: str  #: a configured submit method, e.g. map_ordered
     #: the expression in the callable slot (first positional / ``fn=``).
     fn_expr: ast.expr | None
     #: items expression (second positional), when present.
@@ -150,9 +150,9 @@ def submission_sites(
     """Worker-submission call sites inside one unit.
 
     A site is any call whose callee is an attribute named in
-    ``submit_methods`` (``executor.map_ordered(fn, items)``,
-    ``pool.submit(fn, item)``) — receiver type is not checked, which can
-    over-match foreign ``submit`` APIs; those are suppressed inline.
+    ``submit_methods`` (``supervisor.map_ordered(fn, items)``) — receiver
+    type is not checked, which can over-match foreign methods of the same
+    name; those are suppressed inline.
     """
     sites: list[SubmissionSite] = []
     for node in _own_nodes(unit.node):
@@ -178,7 +178,7 @@ def submission_sites(
 @dataclass
 class InitializerSite:
     """An ``initializer=``/``initargs=`` pair handed to an executor-like
-    constructor (ParallelExecutor, Supervisor, make_backend, a raw pool)."""
+    constructor (the Supervisor, a raw pool)."""
 
     call: ast.Call
     initializer: ast.expr | None = None

@@ -4,7 +4,7 @@ Each rule enforces a contract the per-file engine cannot see because it
 spans modules:
 
 * **PAR001 — submitted callables must pickle.**  A callable handed to
-  ``map_ordered``/``map_supervised``/``submit`` must resolve to a
+  ``map_ordered`` (the configured submit methods) must resolve to a
   module-level function: lambdas and nested defs capture state that either
   fails to pickle (pool backends) or silently diverges between the serial
   and parallel paths.
@@ -24,7 +24,7 @@ spans modules:
   runtime validation only catches when the emitting path runs.
 * **ERR001 — CLI-reachable raises use the taxonomy.**  Every ``raise``
   reachable from a CLI command handler must resolve to the
-  :class:`~repro.resilience.errors.ReproError` taxonomy (or an exit/OS
+  :class:`~repro.errors.ReproError` taxonomy (or an exit/OS
   family the CLI already handles), so users get clean error exits instead
   of tracebacks.
 
@@ -196,7 +196,7 @@ def _unit_path(ctx: XmodContext, unit: FunctionUnit) -> str:
     "PAR001",
     "non-module-level callable submitted to a process fan-out",
     "error",
-    "callables handed to ParallelExecutor/Supervisor/pool.submit must be "
+    "callables handed to Supervisor.map_ordered must be "
     "module-level functions: lambdas and nested defs capture state that "
     "fails to pickle or silently diverges between serial and parallel runs",
 )

@@ -268,7 +268,7 @@ class Project:
     ) -> bool:
         """Does ``cls`` (transitively, within the tree) derive from any of
         ``base_qualnames`` (full dotted names, e.g.
-        ``repro.resilience.errors.ReproError``)?"""
+        ``repro.errors.ReproError``)?"""
         seen: set[str] = set()
         queue: list[tuple[str, ast.ClassDef]] = [(module, cls)]
         while queue:

@@ -17,9 +17,11 @@ snapshots), this package *consumes* across runs:
 * :mod:`repro.obs.series` — the per-epoch columnar time-series sidecar
   archived next to each stored trace (``timeseries.json.gz``),
   deterministic down to the byte;
-* :mod:`repro.obs.analytics` — cross-run analytics: ``repro stats``
-  column aggregates, ``repro runs query`` filters, and the span-profile
-  throughput attribution behind ``repro bench --attribute``.
+* :mod:`repro.obs.analytics` — trace and cross-run analytics: the
+  per-epoch digest behind ``repro report`` (``--spans`` for self-time
+  attribution), ``repro stats`` column aggregates, ``repro runs query``
+  filters, and the span-profile throughput attribution behind
+  ``repro bench --attribute``.
 
 Everything here is read-side tooling: importing or using it never touches
 a simulation's hot path, so the zero-overhead-when-off contract of the
@@ -29,10 +31,14 @@ telemetry layer is untouched.
 from repro.obs.analytics import (
     STAT_QUANTILES,
     attribute_delta,
+    epoch_digest,
     exact_quantile,
     query_runs,
     render_attribution_text,
+    render_digest_json,
+    render_digest_text,
     render_runs_query_text,
+    render_spans_text,
     render_stats_csv,
     render_stats_json,
     render_stats_text,
@@ -105,6 +111,7 @@ __all__ = [
     "build_series",
     "config_fingerprint",
     "diff_traces",
+    "epoch_digest",
     "exact_quantile",
     "gate_report",
     "git_rev",
@@ -117,8 +124,11 @@ __all__ = [
     "render_attribution_text",
     "render_diff_json",
     "render_diff_text",
+    "render_digest_json",
+    "render_digest_text",
     "render_gate_text",
     "render_runs_query_text",
+    "render_spans_text",
     "render_stats_csv",
     "render_stats_json",
     "render_stats_text",

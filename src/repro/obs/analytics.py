@@ -1,8 +1,13 @@
-"""Cross-run analytics: query time series and the run store.
+"""Trace and cross-run analytics: digest traces, query time series and
+the run store.
 
-Three read-side tools over artifacts the rest of the stack already
+Four read-side tools over artifacts the rest of the stack already
 produces:
 
+* :func:`epoch_digest` + renderers — ``repro report <trace>``: which
+  epoch installed which way vector, where the guard fell back, how bank
+  counters moved between epochs, how sweep items spent their wall time,
+  and (``--spans``) the span profiler's self-time attribution;
 * :func:`series_stats` + renderers — ``repro stats <run|trace>``:
   aggregate/quantile any column of a per-epoch time series
   (:mod:`repro.obs.series`), as text, JSON or CSV;
@@ -25,6 +30,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter as TallyCounter
 from collections.abc import Iterable, Mapping, Sequence
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -35,6 +41,199 @@ from repro.obs.store import RunRecord, RunStore
 
 #: the quantiles ``repro stats`` reports per column.
 STAT_QUANTILES = (0.5, 0.95)
+
+
+# -- trace digests -------------------------------------------------------------
+
+
+def epoch_digest(events: Sequence[Mapping]) -> dict:
+    """Structured per-epoch digest of one trace stream.
+
+    Events are grouped by their ``scheme`` tag (untagged events group under
+    ``""``); within each scheme the decisions, skips and guard actions are
+    keyed by epoch, and bank snapshots report the *delta* of migrations and
+    writebacks since the previous snapshot of that scheme.
+    """
+    schemes: dict[str, dict] = {}
+    counts: TallyCounter = TallyCounter()
+    meta: list[dict] = []
+    for event in events:
+        etype = event.get("type", "?")
+        counts[etype] += 1
+        if etype == "run_meta":
+            meta.append(
+                {k: v for k, v in event.items() if k not in ("type", "seq")}
+            )
+            continue
+        scheme = schemes.setdefault(
+            str(event.get("scheme", "")),
+            {"epochs": {}, "guard": [], "snapshots": [], "sweep": []},
+        )
+        if etype in ("epoch_decision", "epoch_skip"):
+            record = scheme["epochs"].setdefault(
+                int(event.get("epoch", -1)), {}
+            )
+            record.update(
+                {k: v for k, v in event.items() if k not in ("type", "seq")}
+            )
+            record["installed"] = etype == "epoch_decision"
+        elif etype == "guard_action":
+            scheme["guard"].append(
+                {k: v for k, v in event.items() if k not in ("type", "seq")}
+            )
+        elif etype == "bank_snapshot":
+            previous = (
+                scheme["snapshots"][-1] if scheme["snapshots"] else None
+            )
+            snap = {k: v for k, v in event.items() if k not in ("type", "seq")}
+            snap["migrations_delta"] = snap.get("migrations", 0) - (
+                previous.get("migrations", 0) if previous else 0
+            )
+            snap["writebacks_delta"] = snap.get("writebacks", 0) - (
+                previous.get("writebacks", 0) if previous else 0
+            )
+            scheme["snapshots"].append(snap)
+        elif etype in ("sweep_item", "mc_point"):
+            scheme["sweep"].append(
+                {k: v for k, v in event.items() if k not in ("type", "seq")}
+            )
+    return {
+        "event_counts": dict(sorted(counts.items())),
+        "run_meta": meta,
+        "schemes": schemes,
+    }
+
+
+def render_digest_json(events: Sequence[Mapping]) -> str:
+    """The digest as pretty-printed JSON."""
+    return json.dumps(epoch_digest(events), indent=2, sort_keys=True)
+
+
+def render_digest_text(events: Sequence[Mapping]) -> str:
+    """The digest as aligned monospace tables."""
+    from repro.analysis.report import format_table
+
+    digest = epoch_digest(events)
+    blocks: list[str] = []
+    counts = digest["event_counts"]
+    blocks.append(
+        format_table(
+            ["event type", "count"],
+            sorted(counts.items()),
+            title="Trace summary",
+        )
+    )
+    for meta in digest["run_meta"]:
+        line = f"run: source={meta.get('source')}"
+        if meta.get("detail"):
+            line += f" ({meta['detail']})"
+        if meta.get("scheme"):
+            line += f" [scheme {meta['scheme']}]"
+        blocks.append(line)
+    for scheme, data in digest["schemes"].items():
+        label = f" [{scheme}]" if scheme else ""
+        if data["epochs"]:
+            rows = []
+            for epoch in sorted(data["epochs"]):
+                rec = data["epochs"][epoch]
+                if rec.get("installed"):
+                    detail = (
+                        f"ways={rec.get('ways')} "
+                        f"centers={rec.get('center_banks', '-')} "
+                        f"pairs={rec.get('pairs', '-')}"
+                    )
+                    projected = rec.get("projected_misses") or []
+                    misses = f"{sum(projected):,.0f}"
+                else:
+                    detail = f"skipped: {rec.get('reason')}"
+                    misses = "-"
+                rows.append(
+                    (epoch, f"{rec.get('time', 0):,.0f}",
+                     "yes" if rec.get("installed") else "no", misses, detail)
+                )
+            blocks.append(
+                format_table(
+                    ["epoch", "time", "installed", "proj. misses",
+                     "decision"],
+                    rows,
+                    title=f"Epoch decisions{label}",
+                )
+            )
+        if data["guard"]:
+            rows = [
+                (g.get("epoch", "-"), f"{g.get('time', 0):,.0f}",
+                 g.get("kind"), g.get("mode"), g.get("detail"))
+                for g in data["guard"]
+            ]
+            blocks.append(
+                format_table(
+                    ["epoch", "time", "action", "mode", "detail"], rows,
+                    title=f"Guard ladder{label}",
+                )
+            )
+        if data["snapshots"]:
+            rows = [
+                (s.get("epoch"), f"{s.get('time', 0):,.0f}",
+                 sum(s.get("hits", [])), sum(s.get("misses", [])),
+                 sum(s.get("occupancy", [])), s["migrations_delta"],
+                 s["writebacks_delta"])
+                for s in data["snapshots"]
+            ]
+            blocks.append(
+                format_table(
+                    ["epoch", "time", "hits", "misses", "resident",
+                     "migr. delta", "wb delta"],
+                    rows,
+                    title=f"Bank snapshots{label} (totals across banks)",
+                )
+            )
+        items = [s for s in data["sweep"] if "wall_s" in s]
+        if items:
+            total_wall = sum(s.get("wall_s", 0.0) for s in items)
+            slowest = max(items, key=lambda s: s.get("wall_s", 0.0))
+            blocks.append(
+                f"sweep{label}: {len(items)} items, "
+                f"{total_wall:.3f}s total item-wall, slowest "
+                f"{slowest.get('label')} at {slowest.get('wall_s', 0.0):.3f}s"
+            )
+    return "\n\n".join(blocks)
+
+
+def render_spans_text(events: Sequence[Mapping]) -> str:
+    """The span self-time attribution table (``repro report --spans``).
+
+    Self times sum to the total duration of the root spans by
+    construction (see :mod:`repro.telemetry.spans`), and the footer
+    prints both totals so the reconciliation is visible.
+    """
+    from repro.analysis.report import format_table
+    from repro.telemetry.spans import span_attribution, span_totals
+
+    rows = span_attribution(events)
+    if not rows:
+        return ("no span events in this trace (record one with "
+                "--spans on a traced run)")
+    totals = span_totals(events)
+    table = format_table(
+        ["phase", "count", "total s", "self s", "mean s", "self %"],
+        [
+            (r["path"], r["count"], f"{r['total_s']:.4f}",
+             f"{r['self_s']:.4f}", f"{r['mean_s']:.6f}",
+             f"{r['self_s'] / totals['wall_total_s'] * 100:.1f}"
+             if totals["wall_total_s"] else "-")
+            for r in rows
+        ],
+        title="Span self-time attribution",
+    )
+    footer = (
+        f"{totals['spans']} spans over {totals['paths']} phases; "
+        f"self-time total {totals['self_total_s']:.4f}s reconciles with "
+        f"root-span wall total {totals['wall_total_s']:.4f}s"
+    )
+    return f"{table}\n{footer}"
+
+
+# -- time-series statistics ---------------------------------------------------
 
 
 def resolve_series(spec: str, store: RunStore) -> dict:
@@ -344,10 +543,14 @@ def render_attribution_text(result: Mapping) -> str:
 __all__ = (
     "STAT_QUANTILES",
     "attribute_delta",
+    "epoch_digest",
     "exact_quantile",
     "query_runs",
     "render_attribution_text",
+    "render_digest_json",
+    "render_digest_text",
     "render_runs_query_text",
+    "render_spans_text",
     "render_stats_csv",
     "render_stats_json",
     "render_stats_text",

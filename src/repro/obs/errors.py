@@ -1,6 +1,6 @@
 """Typed errors of the run observatory.
 
-All derive from :class:`~repro.resilience.errors.ReproError`, so the CLI's
+All derive from :class:`~repro.errors.ReproError`, so the CLI's
 contained-failure handling (clean message, exit 2) covers them for free.
 """
 

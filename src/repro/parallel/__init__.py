@@ -1,26 +1,18 @@
-"""Deterministic sweep execution: process-pool fan-out + profile caching.
+"""Sweep speed-ups that never change results: profile caching and the
+perf-tracking bench.
 
-The paper's expensive experiments are embarrassingly parallel — Fig. 7 is
-independent Monte Carlo mixes, Figs. 8/9 independent (mix, scheme)
-simulations — and every work item is a pure function of its inputs.  This
-package exploits that without giving up determinism or resumability:
-
-* :mod:`~repro.parallel.executor` fans work items out to a process pool
-  and merges results back **in submission order**, so sweep outputs (and
-  their :class:`~repro.resilience.checkpoint.SweepCheckpoint` prefixes)
-  are bit-identical for every ``--jobs`` value, serial default included;
 * :mod:`~repro.parallel.profile_cache` memoizes the 26-workload MSA
   profiling pass on disk, keyed by everything that determines a curve;
 * :mod:`~repro.parallel.bench` is the ``repro bench`` perf-tracking suite
   (imported directly by the CLI, not re-exported here).
+
+Process fan-out itself lives in :class:`repro.fabric.Supervisor`, the one
+order-preserving executor every sweep uses.
 """
 
-from repro.parallel.executor import ParallelExecutor, resolve_jobs
 from repro.parallel.profile_cache import ProfileCache, default_cache_dir
 
 __all__ = [
-    "ParallelExecutor",
     "ProfileCache",
     "default_cache_dir",
-    "resolve_jobs",
 ]

@@ -5,8 +5,8 @@ every epoch decision and runs sweeps long enough that crashes are a
 when-not-if.  This package makes the reproduction *test* that trust
 (:mod:`~repro.resilience.faults`), *contain* its violations
 (:mod:`~repro.resilience.guard`) and *survive* interruptions
-(:mod:`~repro.resilience.checkpoint`), under a structured error taxonomy
-(:mod:`~repro.resilience.errors`).
+(:mod:`~repro.resilience.checkpoint`), under the structured error taxonomy
+of :mod:`repro.errors` (re-exported here).
 """
 
 from repro.resilience.checkpoint import (
@@ -25,7 +25,6 @@ from repro.errors import (
     ReproError,
     SanitizerViolation,
     SimulationInvariantError,
-    WorkerCrashError,
 )
 from repro.resilience.faults import (
     ANY_CORE,
@@ -64,7 +63,6 @@ __all__ = [
     "SanitizerViolation",
     "SimulationInvariantError",
     "SweepCheckpoint",
-    "WorkerCrashError",
     "load_checkpoint",
     "save_checkpoint",
 ]

@@ -11,7 +11,7 @@ here is the standard production one:
   rename cannot roll it back;
 * snapshots are **integrity-checked** — a SHA-256 checksum over the
   canonical payload is verified on load, and any parse/schema/checksum
-  failure raises :class:`~repro.resilience.errors.CheckpointCorrupt` rather
+  failure raises :class:`~repro.errors.CheckpointCorrupt` rather
   than silently resuming from garbage;
 * snapshots are **keyed by their parameters** — the sweep's defining
   metadata (seed, machine shape, ...) is stored alongside the results, and

@@ -12,7 +12,7 @@ full containment layer:
   Local sharing);
 * **profiler health** — a histogram with too few observations, negative or
   non-finite counters, or a non-monotone projected miss curve flags its
-  profiler unhealthy (:class:`~repro.resilience.errors.ProfilerFault`);
+  profiler unhealthy (:class:`~repro.errors.ProfilerFault`);
 * **fallback ladder** — on any violation the guard keeps the last-known-good
   partition instead of installing garbage; sustained failures degrade
   bank-aware → equal-share → frozen, and recovery climbs back one rung per

@@ -18,8 +18,8 @@ epoch installs with checks far too expensive for production runs:
   materialised onto physical banks, the realised map still honours whole
   Center banks, Local-bank completeness and adjacent-only sharing.
 
-Every failure raises :class:`~repro.resilience.errors.SanitizerViolation`
-(a :class:`~repro.resilience.errors.ReproError`) with full context.
+Every failure raises :class:`~repro.errors.SanitizerViolation`
+(a :class:`~repro.errors.ReproError`) with full context.
 Unlike the :class:`~repro.resilience.guard.DecisionGuard`, the sanitizer
 never contains: a violation is a bug (or an injected fault surfacing), and
 the run must stop loudly.

@@ -18,9 +18,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.config import SystemConfig, scaled_config
-from repro.parallel.executor import ParallelExecutor
-from repro.resilience.checkpoint import SweepCheckpoint
 from repro.errors import CheckpointCorrupt, ConfigError
+from repro.fabric.supervisor import SINGLE_ATTEMPT, Supervisor
+from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.faults import FaultPlan
 from repro.sim.stats import SystemResult
 from repro.sim.system import DETAILED_SCHEMES, CMPSystem
@@ -72,7 +72,7 @@ class RunSettings:
     fault_plan: FaultPlan | None = None
     #: deep runtime invariant checking (expensive; see
     #: :mod:`repro.resilience.sanitizer`).  Violations raise
-    #: :class:`~repro.resilience.errors.SanitizerViolation` and are never
+    #: :class:`~repro.errors.SanitizerViolation` and are never
     #: contained by the guard.
     sanitize: bool = False
     #: collect telemetry events/metrics during the run (see
@@ -211,7 +211,9 @@ def compare_schemes(
 
     The schemes are independent simulations of identical traces, so
     ``jobs`` runs them concurrently with bit-identical results (default
-    serial; see :func:`repro.parallel.executor.resolve_jobs`).
+    serial; see :func:`repro.fabric.supervisor.resolve_jobs`).  A failing
+    simulation aborts with :class:`~repro.errors.PoisonItemError` naming
+    the (mix, scheme) item, its exception chained.
 
     With a ``tracer`` attached (and ``settings.trace`` enabled so the
     simulations record events), each run's event stream is merged into the
@@ -220,14 +222,14 @@ def compare_schemes(
     """
     cfg = config or scaled_config()
     st = settings or RunSettings()
-    executor = ParallelExecutor(
-        jobs, initializer=_sweep_init, initargs=(cfg, st),
-        tracer=tracer, metrics=metrics,
+    supervisor = Supervisor(
+        jobs, policy=SINGLE_ATTEMPT, initializer=_sweep_init,
+        initargs=(cfg, st), tracer=tracer, metrics=metrics,
     )
     results: dict[str, SystemResult] = {}
     for scheme, res in zip(
         schemes,
-        executor.map_ordered(
+        supervisor.map_ordered(
             _sweep_run,
             [(mix, s) for s in schemes],
             labels=[f"{mix}:{s}" for s in schemes],
@@ -287,10 +289,11 @@ def run_sweep(
     reproduces the uninterrupted sweep exactly, because every mix's
     simulation is fully determined by (mix, config, settings).  A snapshot
     from different parameters raises
-    :class:`~repro.resilience.errors.CheckpointMismatchError`.
+    :class:`~repro.errors.CheckpointMismatchError`.
 
     ``jobs`` fans the independent (mix, scheme) simulations out over worker
-    processes; results merge in submission order, so both the returned
+    processes (one :class:`~repro.fabric.supervisor.Supervisor`, single
+    attempt); results merge in submission order, so both the returned
     comparisons and the checkpoint prefix are bit-identical for every
     ``jobs`` value.
     """
@@ -311,9 +314,9 @@ def run_sweep(
     out = _restore_comparisons(ckpt.completed, mixes, schemes)
     todo = list(mixes[len(out):])
     items = [(mix, scheme) for mix in todo for scheme in schemes]
-    executor = ParallelExecutor(
-        jobs, initializer=_sweep_init, initargs=(cfg, st),
-        tracer=tracer, metrics=metrics,
+    supervisor = Supervisor(
+        jobs, policy=SINGLE_ATTEMPT, initializer=_sweep_init,
+        initargs=(cfg, st), tracer=tracer, metrics=metrics,
     )
     try:
         gathered: dict[str, SystemResult] = {}
@@ -321,7 +324,7 @@ def run_sweep(
         start = wall_clock() if tracer is not None else 0.0
         for (mix, scheme), res in zip(
             items,
-            executor.map_ordered(
+            supervisor.map_ordered(
                 _sweep_run, items,
                 labels=[f"{m}:{s}" for m, s in items],
             ),

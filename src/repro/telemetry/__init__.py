@@ -1,13 +1,14 @@
 """repro.telemetry — zero-overhead-when-off tracing and metrics.
 
-The observability layer of the reproduction: a :class:`Tracer` of typed,
-schema-stable events (epoch decisions, guard ladder actions, bank counter
-snapshots, sweep-item timing) written as JSON-lines, a
+The emitting side of the reproduction's observability: a :class:`Tracer`
+of typed, schema-stable events (epoch decisions, guard ladder actions,
+bank counter snapshots, sweep-item timing) written as JSON-lines, a
 :class:`MetricsRegistry` of counters/gauges/histograms surfaced through
-``SystemResult.telemetry``, a Chrome-trace exporter for timelines, and the
-per-epoch digest behind ``repro report``.  :mod:`repro.telemetry.spans`
-adds a hierarchical wall-clock span profiler whose records travel as
-advisory events inside the same stream (``repro report --spans``).
+``SystemResult.telemetry``, and a Chrome-trace exporter for timelines.
+:mod:`repro.telemetry.spans` adds a hierarchical wall-clock span profiler
+whose records travel as advisory events inside the same stream.  The
+digests that read traces back (``repro report``) live in
+:mod:`repro.obs.analytics`.
 
 The subsystem is opt-in by construction: nothing here is instantiated
 unless a run asks for tracing (``--trace`` / ``RunSettings.trace``), and
@@ -26,6 +27,7 @@ from repro.telemetry.events import (
     SCHEMA_VERSION,
     TelemetryError,
     canonical_events,
+    check_trace,
     schema_rows,
     validate_event,
     validate_events,
@@ -35,13 +37,6 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-)
-from repro.telemetry.report import (
-    check_trace,
-    epoch_digest,
-    render_json,
-    render_spans_text,
-    render_text,
 )
 from repro.telemetry.spans import (
     SpanRecorder,
@@ -67,12 +62,8 @@ __all__ = [
     "canonical_events",
     "check_trace",
     "chrome_trace",
-    "epoch_digest",
     "maybe_span",
     "read_jsonl",
-    "render_json",
-    "render_spans_text",
-    "render_text",
     "schema_rows",
     "self_seconds_by_phase",
     "span_attribution",

@@ -125,7 +125,10 @@ EVENT_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "ways": _LIST,
         "policies": FieldSpec((dict,), required=False),
     },
-    # one sweep work item's observed completion latency (wall clock).
+    # one sweep work item's observed completion latency (wall clock),
+    # emitted by the supervisor as it yields the item.  Advisory: it
+    # narrates how the sweep was scheduled (a resumed sweep re-runs only
+    # its tail), while the results travel in the item's own events.
     "sweep_item": {
         "index": _INT,
         "label": _STR,
@@ -169,10 +172,11 @@ EVENT_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
 
 #: event types that may legitimately differ between two otherwise
 #: identical runs (a retry happens only in the run whose worker crashed;
-#: a span exists only in the run that asked for profiling).
-#: :func:`canonical_events` removes them wholesale and renumbers ``seq``,
-#: so the determinism gate compares only the computed stream.
-ADVISORY_EVENTS = frozenset({"supervisor", "span"})
+#: a span exists only in the run that asked for profiling; a resumed
+#: sweep yields only the items it recomputed).  :func:`canonical_events`
+#: removes them wholesale and renumbers ``seq``, so the determinism gate
+#: compares only the computed stream.
+ADVISORY_EVENTS = frozenset({"supervisor", "span", "sweep_item"})
 
 
 def validate_event(event: Mapping) -> list[str]:
@@ -213,6 +217,16 @@ def validate_events(events: Iterable[Mapping]) -> list[str]:
     problems = []
     for i, event in enumerate(events):
         problems.extend(f"event #{i}: {p}" for p in validate_event(event))
+    return problems
+
+
+def check_trace(events: Sequence[Mapping]) -> list[str]:
+    """Schema-validate a loaded trace stream (``repro report --check``);
+    returns the problem list, which also flags a missing ``run_meta``
+    header."""
+    problems = validate_events(events)
+    if events and events[0].get("type") != "run_meta":
+        problems.insert(0, "trace does not open with a run_meta event")
     return problems
 
 

@@ -1,7 +1,7 @@
 """Counters, gauges and summary histograms for run-level metrics.
 
 A :class:`MetricsRegistry` is the pull-side companion of the event tracer:
-subsystems (``CMPSystem``, ``NucaL2``, ``ParallelExecutor``) publish their
+subsystems (``CMPSystem``, ``NucaL2``, the sweep ``Supervisor``) publish their
 totals into one registry, and the registry's :meth:`~MetricsRegistry.snapshot`
 becomes ``SystemResult.telemetry`` — a plain JSON-serialisable dict, stable
 across serial and parallel runs because every published value is derived

@@ -9,7 +9,7 @@ was requested, and every emission is guarded by ``if tracer is not None``
 Parallel runs keep one tracer per work item inside the worker (or carry
 events inside each worker's result object) and merge the streams into the
 parent tracer **in submission order** via :meth:`Tracer.extend` — the same
-discipline :class:`~repro.parallel.executor.ParallelExecutor` applies to
+discipline :class:`~repro.fabric.supervisor.Supervisor` applies to
 results, so serial and ``--jobs N`` runs produce equal event streams (up
 to the wall-clock fields the schema explicitly marks non-deterministic).
 Worker streams were already validated event-by-event on emit, so the merge

@@ -1,4 +1,4 @@
-"""The sweep fabric: supervisor, backends, dead letters, chaos, resume."""
+"""The sweep fabric: supervisor, dead letters, chaos, supervised resume."""
 
 import dataclasses
 import json
@@ -9,24 +9,20 @@ import pytest
 import repro.fabric.supervisor as supervisor_mod
 from repro.analysis.montecarlo import collect_profiles, run_monte_carlo
 from repro.config import scaled_config
+from repro.errors import ConfigError, PoisonItemError
 from repro.fabric import (
     QUARANTINED,
     ChaosAbort,
     ChaosPlan,
     DeadLetterError,
     DeadLetterLedger,
-    LocalClusterBackend,
     Supervisor,
     SupervisorPolicy,
-    make_backend,
     pick_labels,
-    run_fabric_monte_carlo,
     truncate_file,
 )
-from repro.fabric.backends import read_shard_result
 from repro.fabric.chaos import InjectedWorkerCrash
 from repro.resilience.checkpoint import backup_path, load_checkpoint
-from repro.resilience.errors import ConfigError, PoisonItemError
 from repro.telemetry.events import canonical_events
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import Tracer
@@ -90,7 +86,7 @@ class TestSupervisorPolicy:
 class TestSupervisorSerial:
     def test_plain_map_in_order(self):
         sup = Supervisor(1)
-        assert list(sup.map_supervised(lambda x: x * 2, [1, 2, 3])) \
+        assert list(sup.map_ordered(lambda x: x * 2, [1, 2, 3])) \
             == [2, 4, 6]
         assert sup.rung == "serial"
         assert sup.events == []
@@ -106,7 +102,7 @@ class TestSupervisorSerial:
             return x
 
         sup = Supervisor(1, policy=SupervisorPolicy(max_attempts=3))
-        assert list(sup.map_supervised(flaky, ["ok"])) == ["ok"]
+        assert list(sup.map_ordered(flaky, ["ok"])) == ["ok"]
         retries = [e for e in sup.events if e["kind"] == "retry"]
         assert [e["attempt"] for e in retries] == [1, 2]
         assert sup.summary()["total_attempts"] == 3
@@ -122,7 +118,7 @@ class TestSupervisorSerial:
             raise ValueError("always")
 
         with pytest.raises(PoisonItemError) as info:
-            list(sup.map_supervised(poison, ["a", "b"], labels=["la", "lb"]))
+            list(sup.map_ordered(poison, ["a", "b"], labels=["la", "lb"]))
         assert info.value.index == 0
         assert info.value.label == "la"
         assert info.value.attempts == 2
@@ -141,7 +137,7 @@ class TestSupervisorSerial:
         sup = Supervisor(
             1, policy=SupervisorPolicy(max_attempts=2, on_poison="skip")
         )
-        out = list(sup.map_supervised(poison_b, ["a", "b", "c"]))
+        out = list(sup.map_ordered(poison_b, ["a", "b", "c"]))
         assert out == ["A", QUARANTINED, "C"]
         assert sup.summary()["quarantined"] == [1]
 
@@ -156,7 +152,7 @@ class TestSupervisorSerial:
             return x
 
         sup = Supervisor(1, tracer=tracer, metrics=metrics)
-        list(sup.map_supervised(once, [5]))
+        list(sup.map_ordered(once, [5]))
         sup_events = tracer.select("supervisor")
         assert [e["kind"] for e in sup_events] == ["retry"]
         assert sup_events[0]["rung"] == "serial"
@@ -174,14 +170,14 @@ def _square(x):
 
 class TestSupervisorPool:
     def test_matches_serial(self):
-        serial = list(Supervisor(1).map_supervised(_square, range(9)))
-        pooled = list(Supervisor(2).map_supervised(_square, range(9)))
+        serial = list(Supervisor(1).map_ordered(_square, range(9)))
+        pooled = list(Supervisor(2).map_ordered(_square, range(9)))
         assert pooled == serial
 
     def test_injected_crash_is_retried(self, tmp_path):
         plan = ChaosPlan(state_dir=str(tmp_path), crash_labels=("3",))
         sup = Supervisor(2, policy=SupervisorPolicy(max_attempts=3))
-        out = list(sup.map_supervised(plan.wrap(_square), range(6)))
+        out = list(sup.map_ordered(plan.wrap(_square), range(6)))
         assert out == [x * x for x in range(6)]
         retries = [e for e in sup.events if e["kind"] == "retry"]
         assert len(retries) == 1
@@ -191,7 +187,7 @@ class TestSupervisorPool:
     def test_hard_kill_degrades_one_rung(self, tmp_path):
         plan = ChaosPlan(state_dir=str(tmp_path), kill_labels=("2",))
         sup = Supervisor(2)
-        out = list(sup.map_supervised(plan.wrap(_square), range(6)))
+        out = list(sup.map_ordered(plan.wrap(_square), range(6)))
         assert out == [x * x for x in range(6)]
         kinds = [e["kind"] for e in sup.events]
         assert "degrade" in kinds
@@ -202,7 +198,7 @@ class TestSupervisorPool:
         # ladder drops one or two rungs — never none, and never past serial
         plan = ChaosPlan(state_dir=str(tmp_path), kill_labels=("1", "4"))
         sup = Supervisor(2)
-        out = list(sup.map_supervised(plan.wrap(_square), range(6)))
+        out = list(sup.map_ordered(plan.wrap(_square), range(6)))
         assert out == [x * x for x in range(6)]
         assert 1 <= [e["kind"] for e in sup.events].count("degrade") <= 2
         assert sup.rung in ("fresh-pool", "serial")
@@ -214,7 +210,7 @@ class TestSupervisorPool:
         sup = Supervisor(
             2, policy=SupervisorPolicy(timeout_s=0.6, max_attempts=3)
         )
-        out = list(sup.map_supervised(plan.wrap(_square), range(5)))
+        out = list(sup.map_ordered(plan.wrap(_square), range(5)))
         assert out == [x * x for x in range(5)]
         kinds = [e["kind"] for e in sup.events]
         assert "timeout" in kinds
@@ -305,148 +301,21 @@ class TestChaosPlan:
 
 
 # ---------------------------------------------------------------------------
-# local-cluster backend
-
-
-def _fail_always(_x):
-    raise RuntimeError("cluster poison")
-
-
-class TestLocalCluster:
-    def _backend(self, root, **kw):
-        kw.setdefault("jobs", 2)
-        kw.setdefault("shard_size", 2)
-        return LocalClusterBackend(root, **kw)
-
-    def test_matches_inproc(self, tmp_path):
-        items = list(range(7))
-        expected = [x * x for x in items]
-        backend = self._backend(tmp_path / "cl")
-        assert list(backend.map_ordered(_square, items)) == expected
-
-    def test_resume_reuses_valid_shards(self, tmp_path):
-        items = list(range(6))
-        root = tmp_path / "cl"
-        first = self._backend(root)
-        assert list(first.map_ordered(_square, items)) \
-            == [x * x for x in items]
-        again = self._backend(root)
-        assert list(again.map_ordered(_square, items)) \
-            == [x * x for x in items]
-        assert again.rounds_used == 0  # nothing recomputed
-
-    def test_corrupt_shard_result_is_recomputed(self, tmp_path):
-        items = list(range(6))
-        root = tmp_path / "cl"
-        first = self._backend(root)
-        list(first.map_ordered(_square, items))
-        victim = root / "results" / "shard-000002-000004.json"
-        victim.write_text(victim.read_text()[:-10])
-        assert read_shard_result(root, 2, 4) is None
-        again = self._backend(root)
-        assert list(again.map_ordered(_square, items)) \
-            == [x * x for x in items]
-        assert again.rounds_used == 1
-        kinds = [e["kind"] for e in again.events]
-        assert "retry" in kinds  # the discarded corrupt shard
-
-    def test_orphaned_claim_is_reclaimed(self, tmp_path):
-        items = list(range(4))
-        root = tmp_path / "cl"
-        first = self._backend(root)
-        list(first.map_ordered(_square, items))
-        # simulate a worker that died holding a claim
-        name = "shard-000000-000002.json"
-        (root / "results" / name).unlink()
-        (root / "claims" / name).write_text('{"start": 0, "stop": 2}')
-        again = self._backend(root)
-        assert list(again.map_ordered(_square, items)) \
-            == [x * x for x in items]
-
-    def test_queue_binding_mismatch_refused(self, tmp_path):
-        root = tmp_path / "cl"
-        backend = self._backend(root)
-        list(backend.map_ordered(_square, [1, 2], meta={"seed": 1}))
-        other = self._backend(root)
-        with pytest.raises(ConfigError, match="different sweep"):
-            list(other.map_ordered(_square, [1, 2], meta={"seed": 2}))
-
-    def test_poison_shard_quarantined(self, tmp_path):
-        ledger = DeadLetterLedger(tmp_path / "dead.jsonl")
-        backend = self._backend(
-            tmp_path / "cl",
-            policy=SupervisorPolicy(max_attempts=2),
-            deadletter=ledger,
-        )
-        with pytest.raises(PoisonItemError):
-            list(backend.map_ordered(_fail_always, [1, 2, 3]))
-        assert len(ledger) >= 1
-        assert backend.quarantined_shards
-
-    def test_poison_shard_skip_mode(self, tmp_path):
-        backend = self._backend(
-            tmp_path / "cl",
-            policy=SupervisorPolicy(max_attempts=2, on_poison="skip"),
-        )
-        out = list(backend.map_ordered(_fail_always, [1, 2, 3]))
-        assert out == [QUARANTINED] * 3
-
-    def test_make_backend_needs_a_root(self):
-        with pytest.raises(ConfigError, match="cluster root"):
-            make_backend("local-cluster")
-
-    def test_make_backend_rejects_unknown(self):
-        with pytest.raises(ConfigError, match="unknown fabric backend"):
-            make_backend("carrier-pigeon")
-
-
-# ---------------------------------------------------------------------------
-# the fabric sweep: the PR's acceptance gate
+# the supervised Monte Carlo sweep: the fabric's acceptance gate
 
 
 class TestFabricSweep:
-    def test_inproc_matches_legacy_runner(self, curves):
-        legacy = run_monte_carlo(5, CFG, curves=curves, seed=11)
-        fabric = run_fabric_monte_carlo(
-            5, CFG, curves=curves, seed=11, backend="inproc"
-        )
-        assert [p.to_dict() for p in fabric.result.points] \
-            == [p.to_dict() for p in legacy.points]
-
     def test_pool_matches_inproc(self, curves):
-        inproc = run_fabric_monte_carlo(
-            5, CFG, curves=curves, seed=11, backend="inproc"
-        )
-        pooled = run_fabric_monte_carlo(
-            5, CFG, curves=curves, seed=11, backend="pool", jobs=2
-        )
-        assert [p.to_dict() for p in pooled.result.points] \
-            == [p.to_dict() for p in inproc.result.points]
-
-    def test_local_cluster_matches_inproc(self, curves, tmp_path):
-        inproc = run_fabric_monte_carlo(
-            5, CFG, curves=curves, seed=11, backend="inproc"
-        )
-        cluster = run_fabric_monte_carlo(
-            5, CFG, curves=curves, seed=11, backend="local-cluster",
-            jobs=2, cluster_root=tmp_path / "cl", shard_size=2,
-        )
-        assert [p.to_dict() for p in cluster.result.points] \
-            == [p.to_dict() for p in inproc.result.points]
+        inproc = run_monte_carlo(5, CFG, curves=curves, seed=11, jobs=1)
+        pooled = run_monte_carlo(5, CFG, curves=curves, seed=11, jobs=2)
+        assert [p.to_dict() for p in pooled.points] \
+            == [p.to_dict() for p in inproc.points]
 
     def test_checkpoint_with_skip_mode_refused(self, curves, tmp_path):
         with pytest.raises(ConfigError, match="contiguous-prefix"):
-            run_fabric_monte_carlo(
+            run_monte_carlo(
                 3, CFG, curves=curves,
                 policy=SupervisorPolicy(on_poison="skip"),
-                checkpoint_path=str(tmp_path / "c.json"),
-            )
-
-    def test_checkpoint_with_cluster_backend_refused(self, curves, tmp_path):
-        with pytest.raises(ConfigError, match="shard results"):
-            run_fabric_monte_carlo(
-                3, CFG, curves=curves, backend="local-cluster",
-                cluster_root=tmp_path / "cl",
                 checkpoint_path=str(tmp_path / "c.json"),
             )
 
@@ -455,9 +324,8 @@ class TestFabricSweep:
         resume produces the same canonical trace as a clean serial run."""
         n, seed = 8, 11
         t_clean = Tracer()
-        clean = run_fabric_monte_carlo(
-            n, CFG, curves=curves, seed=seed, backend="inproc",
-            tracer=t_clean,
+        clean = run_monte_carlo(
+            n, CFG, curves=curves, seed=seed, jobs=1, tracer=t_clean,
         )
         mixes = random_mixes(n, CFG.num_cores, seed=seed)
         labels = [str(m) for m in mixes]
@@ -472,22 +340,25 @@ class TestFabricSweep:
         ledger = DeadLetterLedger(tmp_path / "dead.jsonl")
         t_chaos = Tracer()
         with pytest.raises(ChaosAbort):
-            run_fabric_monte_carlo(
-                n, CFG, curves=curves, seed=seed, backend="pool", jobs=2,
+            run_monte_carlo(
+                n, CFG, curves=curves, seed=seed, jobs=2,
                 policy=policy, chaos=plan, checkpoint_path=ckpt,
                 checkpoint_every=2, tracer=t_chaos, deadletter=ledger,
             )
         assert load_checkpoint(ckpt, "monte-carlo")[1]  # progress persisted
         t_resume = Tracer()
-        resumed = run_fabric_monte_carlo(
-            n, CFG, curves=curves, seed=seed, backend="pool", jobs=2,
+        resumed = run_monte_carlo(
+            n, CFG, curves=curves, seed=seed, jobs=2,
             policy=policy, chaos=dataclasses.replace(plan, abort_after=None),
             checkpoint_path=ckpt, resume=True, tracer=t_resume,
             deadletter=ledger,
         )
-        assert len(resumed.result.points) == n
-        assert [p.to_dict() for p in resumed.result.points] \
-            == [p.to_dict() for p in clean.result.points]
+        assert len(resumed.points) == n
+        assert [p.to_dict() for p in resumed.points] \
+            == [p.to_dict() for p in clean.points]
+        # the resumed run yielded only its tail: its sweep_item events are
+        # advisory, so they cannot make the canonical streams differ
+        assert len(t_resume.select("sweep_item")) < n
         assert canonical_events(t_resume.events) \
             == canonical_events(t_clean.events)
         assert len(ledger) == 0  # every fault was survivable
@@ -497,40 +368,38 @@ class TestFabricSweep:
         ckpt = str(tmp_path / "ck.json")
         plan = ChaosPlan(state_dir=str(tmp_path / "chaos"), abort_after=4)
         with pytest.raises(ChaosAbort):
-            run_fabric_monte_carlo(
-                n, CFG, curves=curves, seed=seed, backend="inproc",
+            run_monte_carlo(
+                n, CFG, curves=curves, seed=seed,
                 chaos=plan, checkpoint_path=ckpt, checkpoint_every=2,
             )
         assert os.path.isfile(backup_path(ckpt))
         truncate_file(ckpt)  # tear the newest generation mid-byte
-        clean = run_fabric_monte_carlo(
-            n, CFG, curves=curves, seed=seed, backend="inproc"
-        )
-        resumed = run_fabric_monte_carlo(
-            n, CFG, curves=curves, seed=seed, backend="inproc",
+        clean = run_monte_carlo(n, CFG, curves=curves, seed=seed)
+        resumed = run_monte_carlo(
+            n, CFG, curves=curves, seed=seed,
             checkpoint_path=ckpt, resume=True,
         )
-        assert [p.to_dict() for p in resumed.result.points] \
-            == [p.to_dict() for p in clean.result.points]
+        assert [p.to_dict() for p in resumed.points] \
+            == [p.to_dict() for p in clean.points]
 
-    def test_fabric_checkpoint_resumes_under_legacy_runner(
-        self, curves, tmp_path
-    ):
-        """Same kind + meta: the two runners' snapshots interoperate."""
+    def test_pool_checkpoint_resumes_serially(self, curves, tmp_path):
+        """A snapshot left by an aborted supervised pool sweep resumes
+        under a plain serial run: jobs and policy are not checkpoint meta."""
         n, seed = 6, 11
         ckpt = str(tmp_path / "ck.json")
         plan = ChaosPlan(state_dir=str(tmp_path / "chaos"), abort_after=3)
         with pytest.raises(ChaosAbort):
-            run_fabric_monte_carlo(
-                n, CFG, curves=curves, seed=seed, backend="inproc",
+            run_monte_carlo(
+                n, CFG, curves=curves, seed=seed, jobs=2,
+                policy=SupervisorPolicy(max_attempts=3),
                 chaos=plan, checkpoint_path=ckpt,
             )
-        legacy = run_monte_carlo(
+        resumed = run_monte_carlo(
             n, CFG, curves=curves, seed=seed,
             checkpoint_path=ckpt, resume=True,
         )
         clean = run_monte_carlo(n, CFG, curves=curves, seed=seed)
-        assert [p.to_dict() for p in legacy.points] \
+        assert [p.to_dict() for p in resumed.points] \
             == [p.to_dict() for p in clean.points]
 
     def test_poison_skip_quarantines_into_ledger(self, curves, tmp_path):
@@ -542,13 +411,13 @@ class TestFabricSweep:
             poison_labels=pick_labels(labels, 1, 3, "poison"),
         )
         ledger = DeadLetterLedger(tmp_path / "dead.jsonl")
-        run = run_fabric_monte_carlo(
-            n, CFG, curves=curves, seed=seed, backend="pool", jobs=2,
+        result = run_monte_carlo(
+            n, CFG, curves=curves, seed=seed, jobs=2,
             policy=SupervisorPolicy(max_attempts=2, on_poison="skip"),
             chaos=plan, deadletter=ledger,
         )
-        assert len(run.result.points) == n - 1
+        assert len(result.points) == n - 1
         assert len(ledger) == 1
-        summary = run.supervisor_summary()
+        summary = result.supervision
         assert summary["actions"].get("quarantine") == 1
         assert summary["quarantined"]

@@ -289,7 +289,7 @@ class TestConfig:
         )
         src = "import time\nnow = time.time()\n"
         assert "DET002" in rules_of(
-            lint(src, path="src/repro/parallel/executor.py", config=cfg)
+            lint(src, path="src/repro/parallel/profile_cache.py", config=cfg)
         )
         assert "DET002" not in rules_of(
             lint(src, path="src/repro/parallel/bench.py", config=cfg)

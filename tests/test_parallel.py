@@ -1,4 +1,4 @@
-"""The parallel sweep layer: executor, profile cache, bench harness.
+"""The parallel sweep layer: ordered fan-out, profile cache, bench harness.
 
 The load-bearing property throughout is *determinism*: every ``jobs``
 value, every kill/resume split and every cache hit must reproduce the
@@ -21,16 +21,16 @@ from repro.analysis.montecarlo import (
     run_monte_carlo,
 )
 from repro.config import scaled_config
-from repro.parallel.bench import run_bench_suite
-from repro.parallel.executor import ParallelExecutor, resolve_jobs
-from repro.parallel.profile_cache import ProfileCache, default_cache_dir
-from repro.resilience.checkpoint import load_checkpoint
-from repro.resilience.errors import (
+from repro.errors import (
     CheckpointCorrupt,
     CheckpointMismatchError,
     ConfigError,
-    WorkerCrashError,
+    PoisonItemError,
 )
+from repro.fabric.supervisor import SINGLE_ATTEMPT, Supervisor, resolve_jobs
+from repro.parallel.bench import run_bench_suite
+from repro.parallel.profile_cache import ProfileCache, default_cache_dir
+from repro.resilience.checkpoint import load_checkpoint
 from repro.sim.runner import RunSettings, run_sweep
 from repro.workloads.mixes import TABLE_III_SETS, Mix, random_mixes
 
@@ -43,12 +43,17 @@ def curves_by_name():
 
 
 # ---------------------------------------------------------------------------
-# resolve_jobs / ParallelExecutor
+# resolve_jobs / Supervisor.map_ordered (single attempt, like the sweeps)
 # ---------------------------------------------------------------------------
 
 
 def _square(x):
     return x * x
+
+
+def _plain(jobs, **kw):
+    """The fan-out the sweeps use: a single-attempt supervisor."""
+    return Supervisor(jobs, policy=SINGLE_ATTEMPT, **kw)
 
 
 class TestResolveJobs:
@@ -79,32 +84,35 @@ class TestResolveJobs:
 
 class TestMapOrdered:
     def test_serial_preserves_order(self):
-        out = list(ParallelExecutor(1).map_ordered(_square, range(10)))
+        out = list(_plain(1).map_ordered(_square, range(10)))
         assert out == [x * x for x in range(10)]
 
     def test_pool_matches_serial_order(self):
-        serial = list(ParallelExecutor(1).map_ordered(_square, range(40)))
-        pooled = list(ParallelExecutor(2).map_ordered(_square, range(40)))
+        serial = list(_plain(1).map_ordered(_square, range(40)))
+        pooled = list(_plain(2).map_ordered(_square, range(40)))
         assert pooled == serial
 
     def test_single_item_stays_in_process(self):
         """One item never pays pool startup (also: fn needs no pickling)."""
-        out = list(ParallelExecutor(4).map_ordered(lambda x: x + 1, [41]))
+        out = list(_plain(4).map_ordered(lambda x: x + 1, [41]))
         assert out == [42]
 
     def test_serial_runs_initializer(self):
         state = {}
-        ex = ParallelExecutor(1, initializer=state.update,
-                              initargs=({"ready": True},))
-        assert list(ex.map_ordered(_square, [3])) == [9]
+        sup = _plain(1, initializer=state.update, initargs=({"ready": True},))
+        assert list(sup.map_ordered(_square, [3])) == [9]
         assert state == {"ready": True}
 
     def test_worker_exception_propagates(self):
         def boom(x):
             raise RuntimeError("worker died")
 
-        with pytest.raises(RuntimeError, match="worker died"):
-            list(ParallelExecutor(1).map_ordered(boom, [1]))
+        # serial and pool failures surface alike: typed, item-naming, with
+        # the worker's exception chained
+        with pytest.raises(PoisonItemError, match="worker died") as info:
+            list(_plain(1).map_ordered(boom, [1]))
+        assert info.value.attempts == 1
+        assert isinstance(info.value.__cause__, RuntimeError)
 
 
 class _MarkSleepWorker:
@@ -132,14 +140,14 @@ class TestPromptCancellation:
     """A dead sweep must not run its whole submission window first.
 
     With jobs=2 the window is 8, so all 8 items are submitted up front;
-    the regression being pinned is the executor letting every queued item
+    the regression being pinned is the fan-out letting every queued item
     run to completion (7 markers) before the failure surfaced.
     """
 
     def test_worker_exception_cancels_queued_items(self, tmp_path):
         worker = _MarkSleepWorker(tmp_path, poison=0)
-        with pytest.raises(WorkerCrashError, match="poison item") as info:
-            list(ParallelExecutor(2).map_ordered(worker, range(8)))
+        with pytest.raises(PoisonItemError, match="poison item") as info:
+            list(_plain(2).map_ordered(worker, range(8)))
         # the typed wrapper names the failing item and keeps the original
         # exception chained for debugging
         assert info.value.index == 0
@@ -149,7 +157,7 @@ class TestPromptCancellation:
 
     def test_abandoned_generator_cancels_queued_items(self, tmp_path):
         worker = _MarkSleepWorker(tmp_path)
-        gen = ParallelExecutor(2).map_ordered(worker, range(8))
+        gen = _plain(2).map_ordered(worker, range(8))
         assert next(gen) == 0
         gen.close()  # GeneratorExit must reach the cancellation path
         assert len(os.listdir(tmp_path)) < 7

@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis.montecarlo import collect_profiles, run_monte_carlo
 from repro.config import scaled_config
+from repro.obs import epoch_digest, render_digest_text, render_spans_text
 from repro.sim.runner import RunSettings, compare_schemes, run_mix
 from repro.sim.stats import SystemResult
 from repro.telemetry import metrics
@@ -28,11 +29,8 @@ from repro.telemetry import (
     canonical_events,
     check_trace,
     chrome_trace,
-    epoch_digest,
     maybe_span,
     read_jsonl,
-    render_spans_text,
-    render_text,
     schema_rows,
     self_seconds_by_phase,
     span_attribution,
@@ -192,14 +190,14 @@ class TestProgressHeartbeats:
 class TestEventSchema:
     def test_canonical_events_strips_only_wall_clock(self):
         events = [
-            {"type": "sweep_item", "seq": 0, "index": 0, "label": "a",
-             "wall_s": 0.5},
+            {"type": "progress", "seq": 0, "done": 1, "total": 2,
+             "source": "sweep", "wall_s": 0.5},
             {"type": "epoch_skip", "seq": 1, "time": 1.0, "epoch": 0,
              "reason": "warmup", "scheme": "bank-aware"},
         ]
         canon = canonical_events(events)
-        assert canon[0] == {"type": "sweep_item", "seq": 0, "index": 0,
-                            "label": "a"}
+        assert canon[0] == {"type": "progress", "seq": 0, "done": 1,
+                            "total": 2, "source": "sweep"}
         assert canon[1] == events[1]  # fully deterministic, untouched
 
     def test_every_schema_is_documented(self):
@@ -210,19 +208,21 @@ class TestEventSchema:
         # a retry happens only in the run whose worker crashed, so the
         # canonical projection must erase it without leaving a seq gap
         events = [
-            {"type": "sweep_item", "seq": 0, "index": 0, "label": "a"},
+            {"type": "progress", "seq": 0, "done": 1, "total": 2,
+             "source": "sweep"},
             {"type": "supervisor", "seq": 1, "kind": "retry", "index": 1,
              "attempt": 1, "rung": "pool", "detail": "boom"},
-            {"type": "sweep_item", "seq": 2, "index": 1, "label": "b"},
+            {"type": "progress", "seq": 2, "done": 2, "total": 2,
+             "source": "sweep"},
         ]
         canon = canonical_events(events)
-        assert [e["type"] for e in canon] == ["sweep_item", "sweep_item"]
+        assert [e["type"] for e in canon] == ["progress", "progress"]
         assert [e["seq"] for e in canon] == [0, 1]
         clean = [events[0], dict(events[2], seq=1)]
         assert canon == canonical_events(clean)  # chaos == clean
 
     def test_supervisor_event_validates(self):
-        assert ADVISORY_EVENTS == {"supervisor", "span"}
+        assert ADVISORY_EVENTS == {"supervisor", "span", "sweep_item"}
         assert validate_event(
             {"type": "supervisor", "seq": 4, "kind": "quarantine",
              "index": 7, "attempt": 3, "label": "mix-7", "rung": "serial",
@@ -442,7 +442,7 @@ class TestReport:
         assert [s["writebacks_delta"] for s in scheme["snapshots"]] == [2, 0]
 
     def test_render_text_shows_the_decision_tables(self):
-        text = render_text(_sample_stream())
+        text = render_digest_text(_sample_stream())
         assert "Trace summary" in text
         assert "Epoch decisions [bank-aware]" in text
         assert "Guard ladder [bank-aware]" in text
