@@ -28,6 +28,7 @@ The algorithm (flow chart, Fig. 6) proceeds in two phases:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -90,17 +91,29 @@ class BankAwareDecision:
         return None
 
 
+#: the bid of a core the cap excludes from further Center banks; it sorts
+#: below every real bid because miss curves are finite
+_CAPPED = (-math.inf,)
+
+
+def _padded(values: tuple[float, ...], reach: int) -> tuple[float, ...]:
+    """``values`` extended with its last entry to cover sizes 0..reach."""
+    short = reach + 1 - len(values)
+    return values + values[-1:] * short if short > 0 else values
+
+
 def _best_pair_split(
-    curve_a: MissCurve,
-    curve_b: MissCurve,
+    misses_a: Sequence[float],
+    misses_b: Sequence[float],
     pair_capacity: int,
     min_ways: int,
 ) -> tuple[int, int, float]:
-    """Optimal split of ``pair_capacity`` ways between two cores: returns
-    ``(ways_a, ways_b, combined_misses)`` minimising total misses."""
+    """Optimal split of ``pair_capacity`` ways between two cores whose
+    misses (indexed by way count, covering the pair's capacity) are given:
+    returns ``(ways_a, ways_b, combined_misses)`` minimising total misses."""
     best = None
     for wa in range(min_ways, pair_capacity - min_ways + 1):
-        misses = curve_a.misses_at(wa) + curve_b.misses_at(pair_capacity - wa)
+        misses = misses_a[wa] + misses_b[pair_capacity - wa]
         if best is None or misses < best[2]:
             best = (wa, pair_capacity - wa, misses)
     if best is None:
@@ -136,21 +149,39 @@ def bank_aware_partition(
     )
     if cap < bank_ways:
         raise ConfigError("cap must allow at least the Local bank")
+    if not 1 <= min_ways <= bank_ways:
+        raise ConfigError(
+            f"min_ways must be between 1 and the {bank_ways}-way Local bank, "
+            f"got {min_ways}"
+        )
+    # Every size read below is at most ``reach`` (Phase A stays within the
+    # cap and the machine plus one bank, Phase B within two Local banks).
+    # A curve shorter than that is padded with its last value, which is
+    # what misses_at returns past K, so plain indexing reads misses_at.
+    reach = max(min(cap, total_ways + bank_ways), 2 * bank_ways)
+    values = [_padded(curve.values, reach) for curve in curves]
 
     # ---- Phase A: whole Center banks by marginal utility (Boxes 1-3) ------
     alloc = [bank_ways] * n  # each Local bank assumed owned by its core
     centers = [0] * n
+
+    def center_key(core: int) -> tuple[float, ...]:
+        """The core's bid for one more Center bank: the marginal utility of
+        ``bank_ways`` more ways, tie-broken toward whoever still misses
+        most, so spare capacity lands where it could plausibly help."""
+        a = alloc[core]
+        if a + bank_ways > cap:
+            return _CAPPED
+        m = values[core]
+        return (m[a] - m[a + bank_ways]) / bank_ways, m[a]
+
+    # only the winner's allocation changes, so only its bid is recomputed
+    keys = [center_key(core) for core in range(n)]
     for _ in range(num_centers):
         best_core = -1
-        best_key: tuple[float, float] | None = None
-        for core, curve in enumerate(curves):
-            if alloc[core] + bank_ways > cap:
-                continue
-            mu = curve.marginal_utility(alloc[core], bank_ways)
-            # tie-break zero-utility grants toward whoever still misses most,
-            # so spare capacity lands where it could plausibly help
-            key = (mu, curve.misses_at(alloc[core]))
-            if best_key is None or key > best_key:
+        best_key = _CAPPED
+        for core, key in enumerate(keys):
+            if key > best_key:
                 best_key, best_core = key, core
         if best_core < 0:
             raise PartitionInvariantError(
@@ -158,19 +189,20 @@ def bank_aware_partition(
             )
         alloc[best_core] += bank_ways
         centers[best_core] += 1
+        keys[best_core] = center_key(best_core)
     complete = [centers[c] > 0 for c in range(n)]
 
     # ---- Phase B: Local-bank way sharing between neighbours (Boxes 4-5) ---
+    # an incomplete core still owns exactly its Local bank, so its marginal
+    # utility for one more way, (m[b] - m[b + 1]) / 1, is fixed for the phase
+    gains = [m[bank_ways] - m[bank_ways + 1] for m in values]
     pairs: list[tuple[int, int]] = []
     while True:
         best_core = -1
         best_mu = 0.0
-        for core, curve in enumerate(curves):
-            if complete[core]:
-                continue
-            mu = curve.marginal_utility(alloc[core], 1)
-            if mu > best_mu:
-                best_mu, best_core = mu, core
+        for core in range(n):
+            if not complete[core] and gains[core] > best_mu:
+                best_mu, best_core = gains[core], core
         if best_core < 0:
             break  # nobody incomplete wants to grow
         # Growing past the Local bank overflows into a neighbour: choose the
@@ -188,7 +220,7 @@ def bank_aware_partition(
         for p in candidates:
             a, b = min(best_core, p), max(best_core, p)
             wa, wb, misses = _best_pair_split(
-                curves[a], curves[b], 2 * bank_ways, min_ways
+                values[a], values[b], 2 * bank_ways, min_ways
             )
             if best_split is None or misses < best_split[2]:
                 best_split = (wa, wb, misses)

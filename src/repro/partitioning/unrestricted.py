@@ -57,17 +57,27 @@ def unrestricted_partition(
 
     alloc = [min_ways] * n
     remaining = total_ways - sum(alloc)
+    # each core's lookahead row at its current allocation; only the core
+    # that wins a grant needs a new one
+    rows = [curve.lookahead_row(min_ways) for curve in curves]
     while remaining > 0:
         best_mu = -1.0
         best_core = -1
         best_extra = 0
-        for core, curve in enumerate(curves):
-            room = min(remaining, cap - alloc[core])
-            if room <= 0:
+        for core in range(n):
+            room = cap - alloc[core]
+            if room > remaining:
+                room = remaining
+            elif room <= 0:
                 continue
-            mu, extra = curve.best_marginal_utility(alloc[core], room)
+            # curve.best_marginal_utility(alloc[core], room), unrolled; its
+            # rising-tail case only changes a negative utility, which never
+            # wins a grant (best_mu <= 0 takes the flat branch below)
+            mus, extras = rows[core]
+            i = room - 1 if room <= len(mus) else len(mus) - 1
+            mu = mus[i]
             if mu > best_mu:
-                best_mu, best_core, best_extra = mu, core, extra
+                best_mu, best_core, best_extra = mu, core, extras[i]
         if best_core < 0:
             raise PartitionInvariantError("no core can accept more ways")  # caps checked above
         if best_mu <= 0.0:
@@ -90,6 +100,7 @@ def unrestricted_partition(
             break
         alloc[best_core] += best_extra
         remaining -= best_extra
+        rows[best_core] = curves[best_core].lookahead_row(alloc[best_core])
     if sum(alloc) != total_ways:
         raise PartitionInvariantError(
             f"lookahead allocation sums to {sum(alloc)} ways, machine has "

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.profiling.miss_curve import MissCurve
+from repro.errors import ConfigError
+from repro.profiling.miss_curve import MissCurve, load_curves
+from tests.test_lookahead_equivalence import marginal_utilities_oracle
 
 
 def linear_curve(total=100.0, max_ways=10, floor=20.0) -> MissCurve:
@@ -33,6 +35,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MissCurve("bad", np.array([10.0, 5.0]), 3.0)
 
+    @pytest.mark.parametrize(
+        "misses, total",
+        [
+            ([10.0, float("nan")], 10.0),
+            ([float("nan"), 5.0], 10.0),
+            ([float("inf"), float("inf")], float("inf")),
+            ([10.0, float("-inf")], 10.0),
+            ([10.0, 5.0], float("nan")),
+            ([10.0, 5.0], float("inf")),
+        ],
+    )
+    def test_rejects_non_finite(self, misses, total):
+        with pytest.raises(ConfigError, match="finite"):
+            MissCurve("bad", np.array(misses), total)
+
+    def test_load_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "nan.npz"
+        np.savez(
+            path,
+            **{"misses:bad": np.array([10.0, np.nan]), "total:bad": np.array([10.0])},
+        )
+        with pytest.raises(ConfigError, match="finite"):
+            load_curves(path)
+
     def test_rejects_negative_ways(self):
         with pytest.raises(ValueError):
             linear_curve().misses_at(-1)
@@ -59,7 +85,7 @@ class TestMarginalUtility:
 
     def test_vectorised_matches_scalar(self):
         c = linear_curve()
-        mus = c.marginal_utilities(3, 7)
+        mus = marginal_utilities_oracle(c, 3, 7)
         for n in range(1, 8):
             assert mus[n - 1] == pytest.approx(c.marginal_utility(3, n))
 

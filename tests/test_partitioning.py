@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigError
 from repro.partitioning.bank_aware import BankAwareDecision, bank_aware_partition
 from repro.partitioning.static import equal_partition
 from repro.partitioning.unrestricted import predicted_misses, unrestricted_partition
@@ -201,6 +202,15 @@ class TestBankAwareInvariants:
         ur_miss = predicted_misses(curves, ur)
         total = sum(c.total_accesses for c in curves)
         assert ba_miss <= ur_miss + 0.25 * total
+
+    def test_min_ways_above_local_bank_rejected(self):
+        """A floor above the Local bank cannot hold for unpaired cores."""
+        with pytest.raises(ConfigError, match="min_ways"):
+            bank_aware_partition([flat_curve()] * 8, min_ways=9)
+
+    def test_min_ways_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="min_ways"):
+            bank_aware_partition([flat_curve()] * 8, min_ways=0)
 
     def test_decision_validation_catches_bad_pair(self):
         with pytest.raises(ValueError):
