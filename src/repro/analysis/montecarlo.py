@@ -25,14 +25,7 @@ import numpy as np
 
 from repro.config import SystemConfig, scaled_config
 from repro.errors import CheckpointCorrupt, ConfigError
-from repro.fabric.chaos import ChaosAbort, ChaosPlan
-from repro.fabric.deadletter import DeadLetterLedger
-from repro.fabric.supervisor import (
-    QUARANTINED,
-    SINGLE_ATTEMPT,
-    Supervisor,
-    SupervisorPolicy,
-)
+from repro.fabric.supervisor import Supervisor
 from repro.parallel.profile_cache import ProfileCache
 from repro.partitioning.bank_aware import bank_aware_partition
 from repro.partitioning.registry import (
@@ -183,10 +176,6 @@ class MonteCarloResult:
     """
 
     points: list[MonteCarloPoint] = field(default_factory=list)
-    #: the sweep's :meth:`~repro.fabric.supervisor.Supervisor.summary`
-    #: (retries, degradations, quarantines): how the sweep ran, not what
-    #: it computed, so it is neither compared nor persisted.
-    supervision: dict | None = field(default=None, compare=False, repr=False)
     _cache: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -360,9 +349,6 @@ def run_monte_carlo(
     checkpoint_every: int | None = None,
     resume: bool = False,
     jobs: int | None = None,
-    policy: SupervisorPolicy | None = None,
-    chaos: ChaosPlan | None = None,
-    deadletter: DeadLetterLedger | None = None,
     profile_cache: ProfileCache | None = None,
     tracer: Tracer | None = None,
     policies: tuple[str, ...] | None = None,
@@ -383,23 +369,19 @@ def run_monte_carlo(
 
     The mixes run through one :class:`~repro.fabric.supervisor.Supervisor`:
     ``jobs`` fans them out over worker processes (default serial; see
-    :func:`~repro.fabric.supervisor.resolve_jobs`) and ``policy`` sets the
-    retry/deadline/quarantine contract (default
-    :data:`~repro.fabric.supervisor.SINGLE_ATTEMPT`: the first failure
-    aborts with a typed error).  Every mix is a pure function of (curves,
-    config, mix) and results merge in submission order, so the points are
-    bit-identical for every ``jobs`` value and every survived failure.
-    Quarantined items land in ``deadletter``; the supervisor's summary is
-    attached as :attr:`MonteCarloResult.supervision`.  ``chaos`` injects
-    the given fault plan into the worker function (and, via
-    ``abort_after``, simulates killing the driver mid-sweep).
+    :func:`~repro.fabric.supervisor.resolve_jobs`).  The first failing mix
+    aborts the sweep with a typed
+    :class:`~repro.errors.PoisonItemError`, after the checkpoint is
+    flushed.  Every mix is a pure function of (curves, config, mix) and
+    results merge in submission order, so the points are bit-identical
+    for every ``jobs`` value and every kill/resume split.
 
     ``tracer`` records one ``mc_point`` event per mix plus ``progress``
     heartbeats over the whole sweep.  The stream is resume-stable:
     ``run_meta`` omits the restored count, restored points are re-emitted
-    in their original slots, and the supervisor's ``sweep_item`` /
-    ``supervisor`` events are advisory — so a killed-and-resumed sweep's
-    canonical trace equals an uninterrupted serial run's.
+    in their original slots, and the supervisor's ``sweep_item`` events
+    are advisory — so a killed-and-resumed sweep's canonical trace equals
+    an uninterrupted serial run's.
 
     ``policies`` additionally projects each mix through the named registry
     policies (must be :func:`~repro.partitioning.registry.analytic_policies`)
@@ -408,12 +390,6 @@ def run_monte_carlo(
     sweep never silently resumes a plain one (or vice versa) — plain
     checkpoints keep their exact key set.
     """
-    policy = policy or SINGLE_ATTEMPT
-    if checkpoint_path is not None and policy.on_poison != "raise":
-        raise ConfigError(
-            "a checkpointed sweep needs on_poison='raise': skipping an item "
-            "would break the snapshot's contiguous-prefix invariant"
-        )
     cfg = config or scaled_config()
     if policies:
         policies = tuple(policies)
@@ -454,10 +430,8 @@ def run_monte_carlo(
             "monte-carlo", detail=f"{num_mixes} mixes, seed {seed}"
         )
     supervisor = Supervisor(
-        jobs, policy=policy, initializer=_montecarlo_init,
-        initargs=(curves, cfg, min_ways, policies),
-        tracer=tracer, deadletter=deadletter,
-        sweep=f"monte-carlo seed {seed}",
+        jobs, initializer=_montecarlo_init,
+        initargs=(curves, cfg, min_ways, policies), tracer=tracer,
     )
     heartbeat = max(1, num_mixes // HEARTBEAT_FRACTION)
     start = wall_clock() if tracer is not None else 0.0
@@ -489,24 +463,14 @@ def run_monte_carlo(
 
     for index, point in enumerate(result.points):
         note(point, index)
-    fn = chaos.wrap(_montecarlo_point) if chaos is not None else _montecarlo_point
-    abort_after = chaos.abort_after if chaos is not None else None
     todo = mixes[len(result.points):]
     try:
         for point in supervisor.map_ordered(
-            fn, todo, labels=[str(m) for m in todo]
+            _montecarlo_point, todo, labels=[str(m) for m in todo]
         ):
-            if point is QUARANTINED:
-                continue  # only reachable under on_poison='skip'
             note(point, len(result.points))
             result.points.append(point)
             ckpt.record(point.to_dict())
-            if abort_after is not None and len(result.points) == abort_after:
-                # the simulated driver kill: leave only the checkpoint
-                raise ChaosAbort(
-                    f"injected driver abort after {abort_after} points"
-                )
     finally:
         ckpt.save()  # snapshot on kill/exception too, not just at the end
-    result.supervision = supervisor.summary()
     return result

@@ -8,10 +8,8 @@ Gives downstream users the paper's pipeline without writing Python:
   partitioning policy (``--scheme``; see :mod:`repro.partitioning.registry`).
 * ``compare``    — several schemes on one mix (the paper's three by
   default, any registered policies via ``--scheme``), relative metrics.
-* ``montecarlo`` — analytic sweep over random mixes, checkpoint/resumable,
-  supervised (retries, deadlines, dead-letter quarantine) on any ``--jobs``.
-* ``chaos``      — fault-injection harness: chaos sweep + driver kill +
-  resume must equal a clean serial run (``repro diff`` gate).
+* ``montecarlo`` — analytic sweep over random mixes on any ``--jobs``;
+  fail-fast, checkpointed, and bit-identical after ``--resume``.
 * ``bench``      — perf-tracking benchmark suite (writes BENCH_sweep.json),
   regression-gated against a stored baseline with ``--baseline/--gate-pct``.
 * ``report``     — digest a telemetry trace (JSONL from ``--trace``);
@@ -37,8 +35,7 @@ Examples::
     python -m repro simulate --set 1 --sanitize --trace trace.jsonl --store
     python -m repro montecarlo --mixes 1000 --jobs 4 --checkpoint mc.json
     python -m repro montecarlo --mixes 200 --rank-policies
-    python -m repro montecarlo --mixes 200 --jobs 4 --timeout 60
-    python -m repro chaos --mixes 12 --kill 1 --crash 2 --truncate-checkpoint
+    python -m repro montecarlo --mixes 1000 --checkpoint mc.json --resume
     python -m repro simulate --set 1 --trace trace.jsonl --spans
     python -m repro report trace.jsonl --check --chrome trace.chrome.json
     python -m repro report trace.jsonl --spans
@@ -67,14 +64,6 @@ from repro.analysis import (
     table1_rows,
 )
 from repro.config import SystemConfig, scaled_config
-from repro.fabric import (
-    ChaosAbort,
-    ChaosPlan,
-    DeadLetterLedger,
-    SupervisorPolicy,
-    pick_labels,
-    truncate_file,
-)
 from repro.lint import (
     LintConfig,
     LintResult,
@@ -705,20 +694,10 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         checkpoint_path=args.checkpoint,
         resume=args.resume,
         jobs=args.jobs,
-        policy=SupervisorPolicy(
-            max_attempts=args.max_attempts, timeout_s=args.timeout
-        ),
-        deadletter=(
-            DeadLetterLedger(args.deadletter) if args.deadletter else None
-        ),
         profile_cache=_profile_cache(args),
         tracer=tracer,
         policies=policies,
     )
-    actions = result.supervision["actions"]
-    if actions:
-        recap = ", ".join(f"{k} x{v}" for k, v in sorted(actions.items()))
-        print(f"supervision: {recap}")
     if tracer is not None:
         tracer.write_jsonl(args.trace)
         print(f"trace: {args.trace} ({len(tracer.events)} events)")
@@ -752,192 +731,9 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
                   "profile_accesses": args.accesses, "jobs": args.jobs,
                   "scale": args.scale, "epoch_cycles": args.epoch},
         headline=headline_from_montecarlo(result),
-        supervisor=result.supervision,
         trace_events=tracer.events if tracer is not None else None,
     )
     return 0
-
-
-def _supervisor_counts(events) -> dict[str, int]:
-    """Tally advisory supervisor actions out of a telemetry stream."""
-    counts: dict[str, int] = {}
-    for event in events:
-        if event.get("type") == "supervisor":
-            kind = event.get("kind", "?")
-            counts[kind] = counts.get(kind, 0) + 1
-    return counts
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """The chaos harness: break a sweep on purpose, prove it heals.
-
-    Three phases: (1) a clean in-process reference sweep; (2) the same
-    sweep on a process pool with seeded faults injected and a simulated
-    driver kill mid-flight; (3) a resume from the checkpoint.
-    The gate is ``repro diff`` semantics on phases 1 and 3: the canonical
-    traces must be bit-identical, or the command exits non-zero.
-    """
-    import dataclasses as _dc
-
-    from repro.resilience.checkpoint import backup_path
-    from repro.workloads.mixes import random_mixes
-
-    cfg = _machine(args)
-    # each hard kill burns one ladder rung (pool -> fresh-pool -> serial);
-    # a third would fire os._exit inside the driver itself
-    if args.kill > 2:
-        raise SystemExit("at most 2 --kill faults (one per pool rung)")
-    # the chaos phases need real worker processes: a kill fault landing on
-    # the serial rung would take the driver down with it
-    jobs = args.jobs if args.jobs is not None else 2
-    if jobs == 1 and args.kill > 0:
-        raise SystemExit("--kill faults need --jobs >= 2 (or 0 = per CPU)")
-    workdir = Path(args.workdir)
-    if workdir.exists() and any(workdir.iterdir()):
-        raise SystemExit(
-            f"{workdir} is not empty; chaos needs a fresh workdir "
-            "(its fault markers are one-shot)"
-        )
-    workdir.mkdir(parents=True, exist_ok=True)
-    curves = collect_profiles(
-        config=cfg, accesses=args.accesses, cache=_profile_cache(args)
-    )
-    mixes = random_mixes(args.mixes, cfg.num_cores, seed=args.seed)
-    labels = [str(m) for m in mixes]
-    abort_after = args.abort_after or max(1, args.mixes // 2)
-    plan = ChaosPlan(
-        state_dir=str(workdir / "chaos-state"),
-        crash_labels=pick_labels(labels, args.crash, args.chaos_seed, "crash"),
-        kill_labels=pick_labels(labels, args.kill, args.chaos_seed, "kill"),
-        hang_labels=pick_labels(labels, args.hang, args.chaos_seed, "hang"),
-        hang_s=args.hang_s,
-        abort_after=abort_after,
-    )
-    policy = SupervisorPolicy(
-        max_attempts=args.max_attempts,
-        timeout_s=args.timeout,
-        seed=args.chaos_seed,
-    )
-    ledger = DeadLetterLedger(workdir / "deadletter.jsonl")
-    sweep_kwargs = dict(
-        config=cfg, curves=curves, seed=args.seed,
-        profile_accesses=args.accesses,
-    )
-
-    print(f"phase 1/3: clean in-process reference sweep ({args.mixes} mixes)")
-    t_clean = Tracer()
-    run_monte_carlo(args.mixes, jobs=1, tracer=t_clean, **sweep_kwargs)
-    serial_trace = workdir / "serial.jsonl"
-    t_clean.write_jsonl(serial_trace)
-
-    faults = ", ".join(
-        f"{kind}={count}"
-        for kind, count in (
-            ("crash", args.crash), ("kill", args.kill), ("hang", args.hang)
-        )
-        if count
-    ) or "none"
-    print(
-        f"phase 2/3: chaos sweep on a {jobs}-job pool (faults: {faults}; "
-        f"driver abort after {abort_after} points)"
-    )
-    checkpoint = workdir / "checkpoint.json"
-    # snapshot often enough that the abort leaves a .bak generation behind
-    # (--truncate-checkpoint needs one to fall back to)
-    every = max(1, abort_after // 3)
-    t_chaos = Tracer()
-    try:
-        run_monte_carlo(
-            args.mixes, jobs=jobs, policy=policy,
-            chaos=plan, checkpoint_path=str(checkpoint),
-            checkpoint_every=every, tracer=t_chaos,
-            deadletter=ledger, **sweep_kwargs,
-        )
-        print("  (sweep finished before the scheduled abort)")
-    except ChaosAbort as abort:
-        print(f"  driver killed as planned: {abort}")
-    if args.truncate_checkpoint:
-        if Path(backup_path(checkpoint)).is_file():
-            kept = truncate_file(checkpoint)
-            print(
-                f"  checkpoint torn mid-byte ({kept} bytes kept); the "
-                "resume must fall back to its .bak generation"
-            )
-        else:
-            print(
-                "  warning: no .bak generation yet (checkpoint was only "
-                "written once); skipping the truncation"
-            )
-
-    print("phase 3/3: resume from the checkpoint")
-    t_resume = Tracer()
-    resumed = run_monte_carlo(
-        args.mixes, jobs=jobs, policy=policy,
-        chaos=_dc.replace(plan, abort_after=None),
-        checkpoint_path=str(checkpoint), checkpoint_every=every,
-        resume=True, tracer=t_resume, deadletter=ledger, **sweep_kwargs,
-    )
-    chaos_trace = workdir / "chaos.jsonl"
-    t_resume.write_jsonl(chaos_trace)
-
-    report = diff_traces(
-        read_jsonl(serial_trace),
-        read_jsonl(chaos_trace),
-        a_label="clean-serial",
-        b_label="chaos-resumed",
-    )
-    print()
-    print(render_diff_text(report))
-    actions = _supervisor_counts(t_chaos.events + t_resume.events)
-    if actions:
-        recap = ", ".join(f"{k} x{v}" for k, v in sorted(actions.items()))
-        print(f"supervision: {recap}")
-    if len(ledger):
-        print(f"dead-letter ledger: {len(ledger)} entries ({ledger.path})")
-
-    quarantined = 0
-    if args.poison:
-        print(f"\npoison phase: {args.poison} permanently failing items, "
-              "on_poison='skip' (no determinism gate)")
-        poison_plan = ChaosPlan(
-            state_dir=str(workdir / "chaos-state"),
-            poison_labels=pick_labels(
-                labels, args.poison, args.chaos_seed, "poison"
-            ),
-        )
-        poison_run = run_monte_carlo(
-            args.mixes, jobs=jobs,
-            policy=_dc.replace(policy, on_poison="skip"),
-            chaos=poison_plan, deadletter=ledger, **sweep_kwargs,
-        )
-        quarantined = args.mixes - len(poison_run.points)
-        print(
-            f"  {len(poison_run.points)}/{args.mixes} points "
-            f"computed, {quarantined} quarantined "
-            f"(ledger now {len(ledger)} entries)"
-        )
-
-    _store_run(
-        args,
-        source="chaos",
-        config=cfg,
-        settings={"mixes": args.mixes, "seed": args.seed,
-                  "chaos_seed": args.chaos_seed,
-                  "profile_accesses": args.accesses, "jobs": args.jobs,
-                  "scale": args.scale, "epoch_cycles": args.epoch,
-                  "faults": plan.describe(), "poison": args.poison},
-        headline=headline_from_montecarlo(resumed),
-        supervisor={
-            **resumed.supervision,
-            "actions": actions,
-            "deadletter_entries": len(ledger),
-            "poison_quarantined": quarantined,
-        },
-        trace_events=t_resume.events,
-    )
-    verdict = "survived" if report.identical else "DIVERGED"
-    print(f"\nchaos verdict: {verdict}")
-    return report.exit_code
 
 
 def cmd_runs(args: argparse.Namespace) -> int:
@@ -1116,15 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="memoize the per-workload miss curves on disk "
                         "(default dir: $REPRO_PROFILE_CACHE or "
                         "~/.cache/repro/profiles)")
-    p.add_argument("--timeout", type=_positive_float, default=None,
-                   metavar="S",
-                   help="wall deadline per work item, seconds (enforced "
-                        "on the process pool, i.e. with --jobs > 1)")
-    p.add_argument("--max-attempts", type=_positive_int, default=3,
-                   metavar="N",
-                   help="retry budget per work item (default 3)")
-    p.add_argument("--deadletter", metavar="PATH",
-                   help="append quarantined items to this JSONL ledger")
     p.add_argument("--rank-policies", action="store_true",
                    help="additionally project every mix through each "
                         "analytically rankable registry policy "
@@ -1135,54 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_arg(p)
     _add_machine_args(p)
     p.set_defaults(fn=cmd_montecarlo)
-
-    p = sub.add_parser(
-        "chaos",
-        help="fault-injection harness: chaos sweep + kill + resume must "
-             "equal a clean run (repro diff gate)",
-    )
-    p.add_argument("--mixes", type=_positive_int, default=12,
-                   help="number of random mixes to evaluate (default 12)")
-    p.add_argument("--seed", type=_positive_int, default=2009,
-                   help="sweep seed (mix generation)")
-    p.add_argument("--chaos-seed", type=int, default=99,
-                   help="seed of the fault schedule and backoff jitter")
-    p.add_argument("--accesses", type=_positive_int, default=4000,
-                   help="profiling accesses per workload (small default: "
-                        "chaos is about failure paths, not fidelity)")
-    p.add_argument("--crash", type=int, default=2, metavar="N",
-                   help="items that raise on their first run (default 2)")
-    p.add_argument("--kill", type=int, default=1, metavar="N",
-                   help="items whose worker os._exits hard, max 2 "
-                        "(default 1)")
-    p.add_argument("--hang", type=int, default=0, metavar="N",
-                   help="items that sleep past the deadline (give "
-                        "--timeout too)")
-    p.add_argument("--hang-s", type=_positive_float, default=60.0,
-                   metavar="S", help="injected hang duration (default 60)")
-    p.add_argument("--poison", type=int, default=0, metavar="N",
-                   help="items that fail every attempt; exercised in a "
-                        "separate on_poison='skip' phase")
-    p.add_argument("--abort-after", type=_positive_int, default=None,
-                   metavar="K",
-                   help="simulated driver kill after K completed points "
-                        "(default: half the sweep)")
-    p.add_argument("--timeout", type=_positive_float, default=None,
-                   metavar="S", help="supervisor deadline per item, seconds")
-    p.add_argument("--max-attempts", type=_positive_int, default=3,
-                   metavar="N", help="retry budget per item (default 3)")
-    p.add_argument("--truncate-checkpoint", action="store_true",
-                   help="tear the checkpoint mid-byte after the abort, "
-                        "forcing the resume onto the .bak generation")
-    p.add_argument("--workdir", default=".repro-chaos", metavar="DIR",
-                   help="fresh directory for traces, checkpoint, fault "
-                        "markers, dead letters (default .repro-chaos)")
-    p.add_argument("--profile-cache", nargs="?", const="", metavar="DIR",
-                   help="memoize the per-workload miss curves on disk")
-    _add_store_arg(p)
-    _add_jobs_arg(p)
-    _add_machine_args(p)
-    p.set_defaults(fn=cmd_chaos)
 
     p = sub.add_parser(
         "report",
@@ -1263,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="machine-readable output (list/query)")
     p.add_argument("--source", metavar="CMD",
                    help="query filter: archiving command "
-                        "(simulate/compare/montecarlo/chaos)")
+                        "(simulate/compare/montecarlo)")
     p.add_argument("--scheme", metavar="NAME",
                    help="query filter: comparison headline carries this "
                         "scheme")

@@ -61,14 +61,15 @@ class PartitionInvariantError(ReproError, ValueError):
 
 
 class PoisonItemError(ReproError):
-    """A sweep work item failed on every permitted attempt.
+    """A sweep work item failed, aborting the sweep.
 
-    Raised by the :class:`~repro.fabric.supervisor.Supervisor` once an item
-    has exhausted its attempts (one, for the plain sweeps) and been
-    quarantined, so a thousand-item sweep aborts naming *which* item died
-    (``index``, ``label``) instead of a raw traceback from an anonymous
-    pool process.  The worker's last exception is chained as
-    ``__cause__``; ``attempts`` counts how many times the item was tried.
+    Raised by the :class:`~repro.fabric.supervisor.Supervisor` when an
+    item's worker raises or its worker process dies, so a thousand-item
+    sweep aborts naming *which* item failed (``index``, ``label``) instead
+    of a raw traceback from an anonymous pool process.  The worker's
+    exception (or the ``BrokenProcessPool``) is chained as ``__cause__``.
+    Items are never retried: a checkpointed sweep recovers with
+    ``--resume``.
     """
 
     def __init__(
@@ -77,12 +78,10 @@ class PoisonItemError(ReproError):
         *,
         index: int | None = None,
         label: str | None = None,
-        attempts: int = 0,
     ) -> None:
         super().__init__(message)
         self.index = index
         self.label = label
-        self.attempts = attempts
 
 
 class CheckpointCorrupt(ReproError):

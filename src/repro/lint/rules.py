@@ -22,8 +22,8 @@ architecture) depends on but Python cannot enforce by itself:
   and (inside the library tree) unannotated public functions.
 * **RES002 — no silently swallowed broad exceptions.**  An ``except``
   over ``Exception``/``BaseException`` (or bare) whose body is only
-  ``pass``/``...`` hides worker crashes from the fault-tolerance layer;
-  failures must be wrapped, retried, quarantined, or at least logged.
+  ``pass``/``...`` hides worker crashes from the fail-fast sweep fabric;
+  failures must be wrapped, re-raised, or at least logged.
 
 A rule is a pure function ``(tree, ctx) -> iterator of (line, col, msg)``;
 the engine attaches severities, applies suppressions and sorts.
@@ -413,8 +413,8 @@ def _swallows_silently(handler: ast.ExceptHandler) -> bool:
     "broad exception swallowed silently",
     "error",
     "an 'except Exception: pass' (or bare except) hides worker crashes "
-    "from the supervision layer; wrap in a typed error, retry, quarantine "
-    "to the dead-letter ledger, or at minimum record the failure",
+    "from the fail-fast sweep fabric; wrap in a typed error, re-raise, or "
+    "at minimum record the failure",
 )
 def _res002(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
     if not ctx.matches(ctx.config.res002_paths):
@@ -428,6 +428,6 @@ def _res002(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
             yield (
                 line, col,
                 f"{caught} with a swallow-only body: handle the failure "
-                "(wrap/retry/quarantine/log) or catch the precise "
+                "(wrap/re-raise/log) or catch the precise "
                 "exception instead",
             )

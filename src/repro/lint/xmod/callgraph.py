@@ -4,8 +4,8 @@ Function *units* are every ``def`` in the tree — module level, methods,
 and nested functions — identified by dotted ids::
 
     repro.analysis.montecarlo._montecarlo_point
-    repro.fabric.supervisor.Supervisor._drive
-    repro.cli.cmd_chaos.<locals>.note
+    repro.fabric.supervisor.Supervisor._pool
+    repro.analysis.montecarlo.run_monte_carlo.<locals>.note
 
 Call edges are added only where the callee can be *resolved* through the
 symbol table:

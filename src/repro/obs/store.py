@@ -179,7 +179,6 @@ class RunStore:
         settings: Mapping[str, object] | None = None,
         headline: Mapping[str, object] | None = None,
         metrics: Mapping[str, object] | None = None,
-        supervisor: Mapping[str, object] | None = None,
         trace_events: Sequence[Mapping] | None = None,
         trace_file: str | Path | None = None,
     ) -> RunRecord:
@@ -188,10 +187,6 @@ class RunStore:
         ``trace_events`` (an in-memory stream) or ``trace_file`` (an
         existing JSONL file, copied) attaches the telemetry stream; both
         ``None`` archives an untraced run with ``trace: null``.
-        ``supervisor`` attaches a fabric supervision summary (retry /
-        timeout / quarantine / degrade counts, final ladder rung,
-        dead-letter entries) so ``repro runs show`` explains how a run
-        survived, not just what it computed.
         """
         fingerprint = config_fingerprint(config)
         created = time.time()
@@ -245,7 +240,6 @@ class RunStore:
             "settings": dict(settings) if settings is not None else {},
             "headline": dict(headline) if headline is not None else {},
             "metrics": dict(metrics) if metrics is not None else None,
-            "supervisor": dict(supervisor) if supervisor is not None else None,
             "trace": trace_name,
             "trace_events": trace_count,
             "timeseries": series_name,

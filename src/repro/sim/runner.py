@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 from repro.config import SystemConfig, scaled_config
 from repro.errors import CheckpointCorrupt, ConfigError
-from repro.fabric.supervisor import SINGLE_ATTEMPT, Supervisor
+from repro.fabric.supervisor import Supervisor
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.faults import FaultPlan
 from repro.sim.stats import SystemResult
 from repro.sim.system import DETAILED_SCHEMES, CMPSystem
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.timing import wall_clock
 from repro.telemetry.tracer import Tracer
 from repro.util.stats import relative
@@ -203,7 +202,6 @@ def compare_schemes(
     *,
     jobs: int | None = None,
     tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
 ) -> SchemeComparison:
     """Run one mix under every scheme in ``schemes`` (same traces/seed;
     default: the paper's three detailed schemes — any registered policy
@@ -223,8 +221,7 @@ def compare_schemes(
     cfg = config or scaled_config()
     st = settings or RunSettings()
     supervisor = Supervisor(
-        jobs, policy=SINGLE_ATTEMPT, initializer=_sweep_init,
-        initargs=(cfg, st), tracer=tracer, metrics=metrics,
+        jobs, initializer=_sweep_init, initargs=(cfg, st), tracer=tracer
     )
     results: dict[str, SystemResult] = {}
     for scheme, res in zip(
@@ -279,7 +276,6 @@ def run_sweep(
     resume: bool = False,
     jobs: int | None = None,
     tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
 ) -> list[SchemeComparison]:
     """Detailed-simulation sweep over many mixes, resumable mid-run.
 
@@ -292,8 +288,8 @@ def run_sweep(
     :class:`~repro.errors.CheckpointMismatchError`.
 
     ``jobs`` fans the independent (mix, scheme) simulations out over worker
-    processes (one :class:`~repro.fabric.supervisor.Supervisor`, single
-    attempt); results merge in submission order, so both the returned
+    processes (one :class:`~repro.fabric.supervisor.Supervisor`, fail-fast);
+    results merge in submission order, so both the returned
     comparisons and the checkpoint prefix are bit-identical for every
     ``jobs`` value.
     """
@@ -315,8 +311,7 @@ def run_sweep(
     todo = list(mixes[len(out):])
     items = [(mix, scheme) for mix in todo for scheme in schemes]
     supervisor = Supervisor(
-        jobs, policy=SINGLE_ATTEMPT, initializer=_sweep_init,
-        initargs=(cfg, st), tracer=tracer, metrics=metrics,
+        jobs, initializer=_sweep_init, initargs=(cfg, st), tracer=tracer
     )
     try:
         gathered: dict[str, SystemResult] = {}

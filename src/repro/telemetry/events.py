@@ -145,9 +145,12 @@ EVENT_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "wall_s": _WALL,
     },
     # one fabric supervision action (retry / timeout / quarantine / degrade
-    # / requeue).  Advisory: recovery actions describe *how* a run survived
-    # the host, not *what* it computed, so the whole event is dropped from
-    # the canonical projection (see :data:`ADVISORY_EVENTS`).
+    # / requeue).  Nothing emits it any more — the sweep fabric fails fast
+    # and recovers only through --resume — but the schema is kept so
+    # traces stored by earlier versions still validate and diff.  Advisory:
+    # it described *how* a run survived the host, not *what* it computed,
+    # so the whole event is dropped from the canonical projection (see
+    # :data:`ADVISORY_EVENTS`).
     "supervisor": {
         "kind": _STR,  #: 'retry' | 'timeout' | 'quarantine' | 'degrade' | 'requeue'
         "index": _INT,
@@ -171,11 +174,11 @@ EVENT_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
 }
 
 #: event types that may legitimately differ between two otherwise
-#: identical runs (a retry happens only in the run whose worker crashed;
-#: a span exists only in the run that asked for profiling; a resumed
-#: sweep yields only the items it recomputed).  :func:`canonical_events`
-#: removes them wholesale and renumbers ``seq``, so the determinism gate
-#: compares only the computed stream.
+#: identical runs (a stored trace from an earlier version may carry
+#: supervisor retries; a span exists only in the run that asked for
+#: profiling; a resumed sweep yields only the items it recomputed).
+#: :func:`canonical_events` removes them wholesale and renumbers ``seq``,
+#: so the determinism gate compares only the computed stream.
 ADVISORY_EVENTS = frozenset({"supervisor", "span", "sweep_item"})
 
 

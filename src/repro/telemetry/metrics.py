@@ -1,8 +1,8 @@
 """Counters, gauges and summary histograms for run-level metrics.
 
 A :class:`MetricsRegistry` is the pull-side companion of the event tracer:
-subsystems (``CMPSystem``, ``NucaL2``, the sweep ``Supervisor``) publish their
-totals into one registry, and the registry's :meth:`~MetricsRegistry.snapshot`
+subsystems (``CMPSystem``, ``NucaL2``) publish their totals into one
+registry, and the registry's :meth:`~MetricsRegistry.snapshot`
 becomes ``SystemResult.telemetry`` — a plain JSON-serialisable dict, stable
 across serial and parallel runs because every published value is derived
 from simulated state, never from the host.
@@ -122,23 +122,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other``'s observations into this histogram in place.
-
-        Buckets, count and total sum; min/max take the envelope.  Because
-        the bucket geometry is a module constant, merging worker-local
-        histograms is deterministic and order-independent — the result
-        equals a single histogram that observed the union multiset.
-        """
-        self.count += other.count
-        self.total += other.total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-        for index, n in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + n
 
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (0 < q <= 1) from the bucket counts.

@@ -9,6 +9,7 @@ silently dropped benchmarks.
 """
 
 import json
+import os
 
 import pytest
 
@@ -27,7 +28,6 @@ from repro.obs import (
     render_diff_text,
     watch_trace,
 )
-from repro.fabric import truncate_file
 from repro.telemetry import Tracer, read_jsonl, write_jsonl
 
 CFG = scaled_config(32, epoch_cycles=150_000)
@@ -244,7 +244,7 @@ class TestTailReader:
             TailReader(path).poll()
 
     def test_truncated_mid_event_resets_and_buffers_the_tear(self, tmp_path):
-        # a crash (or `repro chaos` tearing storage) can leave the trace
+        # a crash (or torn storage) can leave the trace
         # cut mid-event: the reader must restart, replay the intact
         # prefix, and hold the torn tail until the writer completes it
         path = tmp_path / "torn.jsonl"
@@ -252,7 +252,7 @@ class TestTailReader:
         path.write_bytes(full * 3)
         reader = TailReader(path)
         assert len(reader.poll().events) == 3
-        truncate_file(path, keep_fraction=0.5)  # tears event 2 mid-byte
+        os.truncate(path, path.stat().st_size // 2)  # tears event 2 mid-byte
         chunk = reader.poll()
         assert chunk.reset
         assert reader.resets == 1
@@ -263,9 +263,9 @@ class TestTailReader:
         assert reader.poll().events == [self.EV, self.EV]
 
     def test_heartbeats_interleaved_with_supervisor_retries(self, tmp_path):
-        # the stream a chaos run's pool backend writes: progress
+        # the stream a retrying sweep of an earlier version wrote: progress
         # heartbeats with advisory supervisor events woven between them
-        path = tmp_path / "chaos.jsonl"
+        path = tmp_path / "retries.jsonl"
         sup = {"type": "supervisor", "seq": 0, "kind": "retry", "index": 3,
                "attempt": 1, "label": "mix-3", "rung": "pool",
                "detail": "InjectedWorkerCrash: boom"}
@@ -902,7 +902,7 @@ class TestCliObsV2:
         out = capsys.readouterr().out
         assert "Stored runs (1 matched)" in out
         assert cli_main(["runs", "query", "--store", store,
-                         "--source", "chaos"]) == 0
+                         "--source", "montecarlo"]) == 0
         assert "no stored runs matched" in capsys.readouterr().out
         assert cli_main(["runs", "query", "--store", store, "--json"]) == 0
         assert len(json.loads(capsys.readouterr().out)) == 1

@@ -27,7 +27,7 @@ from repro.errors import (
     ConfigError,
     PoisonItemError,
 )
-from repro.fabric.supervisor import SINGLE_ATTEMPT, Supervisor, resolve_jobs
+from repro.fabric.supervisor import Supervisor, resolve_jobs
 from repro.parallel.bench import run_bench_suite
 from repro.parallel.profile_cache import ProfileCache, default_cache_dir
 from repro.resilience.checkpoint import load_checkpoint
@@ -43,7 +43,7 @@ def curves_by_name():
 
 
 # ---------------------------------------------------------------------------
-# resolve_jobs / Supervisor.map_ordered (single attempt, like the sweeps)
+# resolve_jobs / Supervisor.map_ordered (fail-fast, like the sweeps)
 # ---------------------------------------------------------------------------
 
 
@@ -52,8 +52,8 @@ def _square(x):
 
 
 def _plain(jobs, **kw):
-    """The fan-out the sweeps use: a single-attempt supervisor."""
-    return Supervisor(jobs, policy=SINGLE_ATTEMPT, **kw)
+    """The fan-out the sweeps use."""
+    return Supervisor(jobs, **kw)
 
 
 class TestResolveJobs:
@@ -111,7 +111,6 @@ class TestMapOrdered:
         # the worker's exception chained
         with pytest.raises(PoisonItemError, match="worker died") as info:
             list(_plain(1).map_ordered(boom, [1]))
-        assert info.value.attempts == 1
         assert isinstance(info.value.__cause__, RuntimeError)
 
 
