@@ -10,10 +10,7 @@ Gives downstream users the paper's pipeline without writing Python:
   default, any registered policies via ``--scheme``), relative metrics.
 * ``montecarlo`` — analytic sweep over random mixes on any ``--jobs``;
   fail-fast, checkpointed, and bit-identical after ``--resume``.
-* ``bench``      — perf-tracking benchmark suite (writes BENCH_sweep.json),
-  regression-gated against a stored baseline with ``--baseline/--gate-pct``.
-* ``report``     — digest a telemetry trace (JSONL from ``--trace``);
-  ``--spans`` prints the span profiler's self-time attribution.
+* ``report``     — digest a telemetry trace (JSONL from ``--trace``).
 * ``stats``      — aggregate the per-epoch time series of a stored run
   or trace (min/max/mean/p50/p95 per column; text, JSON or CSV).
 * ``runs``       — query the run store populated by ``--store`` runs
@@ -36,16 +33,12 @@ Examples::
     python -m repro montecarlo --mixes 1000 --jobs 4 --checkpoint mc.json
     python -m repro montecarlo --mixes 200 --rank-policies
     python -m repro montecarlo --mixes 1000 --checkpoint mc.json --resume
-    python -m repro simulate --set 1 --trace trace.jsonl --spans
     python -m repro report trace.jsonl --check --chrome trace.chrome.json
-    python -m repro report trace.jsonl --spans
     python -m repro stats trace.jsonl --select core_miss_rate --format csv
     python -m repro runs list
     python -m repro runs query --scheme bank-aware --since 2026-08
     python -m repro diff serial.jsonl parallel.jsonl
     python -m repro watch trace.jsonl --interval 2 --metrics
-    python -m repro bench --quick --baseline BENCH_sweep.json --gate-pct 10
-    python -m repro bench --attribute BENCH_old.json BENCH_sweep.json
     python -m repro lint src benchmarks examples --format json
 """
 
@@ -53,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -90,26 +84,18 @@ from repro.lint.xmod.cache import (
 )
 from repro.lint.xmod.engine import XMOD_ANALYZER_VERSION
 from repro.obs import (
-    DEFAULT_GATE_PCT,
     DEFAULT_STORE,
     RunStore,
-    append_history,
-    attribute_delta,
     diff_traces,
-    gate_report,
     headline_from_comparison,
     headline_from_montecarlo,
     headline_from_result,
-    load_report,
     query_runs,
-    render_attribution_text,
     render_diff_json,
     render_diff_text,
     render_digest_json,
     render_digest_text,
-    render_gate_text,
     render_runs_query_text,
-    render_spans_text,
     render_stats_csv,
     render_stats_json,
     render_stats_text,
@@ -161,14 +147,39 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _number(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+
+
+def _positive_float(text: str) -> float:
+    value = _number(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {value}"
+        )
     return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = _number(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be zero or positive and finite, got {value}"
+        )
+    return value
+
+
+def _way_counts(text: str) -> list[int]:
+    parts = text.split(",")
+    if not all(part.strip().isdecimal() for part in parts):
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated way counts, each zero or positive, "
+            f"got {text!r}"
+        )
+    return [int(part) for part in parts]
 
 
 def _machine(args: argparse.Namespace) -> SystemConfig:
@@ -228,24 +239,6 @@ def _add_trace_arg(p: argparse.ArgumentParser) -> None:
              "actions, bank snapshots) to this JSONL file; inspect it "
              "with 'repro report PATH'",
     )
-
-
-def _add_spans_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--spans", action="store_true",
-        help="profile the run with hierarchical wall-clock spans (epoch "
-             "phases: profiler observe/flush, policy decide, guard, "
-             "install, queue drain); requires --trace, inspect with "
-             "'repro report PATH --spans'",
-    )
-
-
-def _spans_flag(args: argparse.Namespace) -> bool:
-    spans = bool(getattr(args, "spans", False))
-    if spans and not args.trace:
-        raise SystemExit("--spans requires --trace PATH (spans flush "
-                         "into the event stream)")
-    return spans
 
 
 def _add_store_arg(p: argparse.ArgumentParser) -> None:
@@ -334,12 +327,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.save:
         save_curves(args.save, curves)
         print(f"saved {len(curves)} curves to {args.save}")
-    ways = [int(w) for w in args.ways.split(",")]
     rows = [
-        [name] + [f"{curve.miss_ratio_at(w):.3f}" for w in ways]
+        [name] + [f"{curve.miss_ratio_at(w):.3f}" for w in args.ways]
         for name, curve in curves.items()
     ]
-    print(format_table(["workload"] + [str(w) for w in ways], rows,
+    print(format_table(["workload"] + [str(w) for w in args.ways], rows,
                        title="Projected miss ratio by dedicated ways (MSA)"))
     return 0
 
@@ -447,7 +439,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                            fault_plan=_fault_plan(args),
                            sanitize=args.sanitize,
                            trace=bool(args.trace),
-                           spans=_spans_flag(args),
                            sim_backend=args.sim_backend)
     result = run_mix(mix, args.scheme, cfg, settings)
     if args.trace:
@@ -461,8 +452,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         settings={"scheme": args.scheme, "duration_cycles": args.duration,
                   "seed": args.seed, "scale": args.scale,
                   "epoch_cycles": args.epoch,
-                  "sim_backend": args.sim_backend,
-                  "spans": bool(args.spans)},
+                  "sim_backend": args.sim_backend},
         headline=headline_from_result(result),
         trace_events=result.events if args.trace else None,
     )
@@ -490,7 +480,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
                            fault_plan=_fault_plan(args),
                            sanitize=args.sanitize,
                            trace=bool(args.trace),
-                           spans=_spans_flag(args),
                            sim_backend=args.sim_backend)
     # the sink feeds 'repro watch' while the run grows; write_jsonl then
     # atomically replaces it with the complete durable stream
@@ -533,44 +522,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         settings={"duration_cycles": args.duration, "seed": args.seed,
                   "scale": args.scale, "epoch_cycles": args.epoch,
                   "jobs": args.jobs, "sim_backend": args.sim_backend,
-                  "schemes": list(schemes), "spans": bool(args.spans)},
+                  "schemes": list(schemes)},
         headline=headline_from_comparison(comp),
         trace_events=tracer.events if tracer is not None else None,
     )
     return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.parallel.bench import run_bench_suite
-
-    if args.attribute:
-        old, new = (load_report(path) for path in args.attribute)
-        print(render_attribution_text(attribute_delta(old, new)))
-        return 0
-    payload = run_bench_suite(
-        quick=args.quick, jobs=args.jobs, output=args.output
-    )
-    rows = [
-        (b["name"], f"{b['wall_s']:.3f}",
-         f"{b['throughput']:,.0f} {b['unit']}")
-        for b in payload["benchmarks"]
-    ]
-    print(format_table(
-        ["benchmark", "wall (s)", "throughput"], rows,
-        title=f"repro bench ({payload['suite']} suite, "
-              f"rev {payload['git_rev']})",
-    ))
-    print(f"report: {args.output}")
-    gate = None
-    if args.baseline:
-        baseline = load_report(args.baseline)
-        gate = gate_report(payload, baseline, gate_pct=args.gate_pct)
-        print()
-        print(render_gate_text(gate))
-    if args.history:
-        append_history(args.history, payload, gate)
-        print(f"history: {args.history}")
-    return 1 if gate is not None and gate.failed else 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -586,9 +542,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         write_chrome_trace(args.chrome, events)
         print(f"chrome trace: {args.chrome} (open in ui.perfetto.dev)")
     if not args.check:
-        if args.spans:
-            print(render_spans_text(events))
-        elif args.format == "json":
+        if args.format == "json":
             print(render_digest_json(events))
         else:
             print(render_digest_text(events))
@@ -832,7 +786,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="MSA-profile workloads")
     p.add_argument("workloads", nargs="+", choices=sorted(ALL_NAMES))
-    p.add_argument("--ways", default="2,4,8,16,32,45,64")
+    p.add_argument("--ways", type=_way_counts, default="2,4,8,16,32,45,64",
+                   help="comma-separated way counts to tabulate")
     p.add_argument("--accesses", type=_positive_int, default=80_000)
     p.add_argument("--seed", type=_positive_int, default=11)
     p.add_argument("--save", help="save the curves to an .npz for reuse")
@@ -888,7 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_fault_args(p)
         _add_sanitize_arg(p)
         _add_trace_arg(p)
-        _add_spans_arg(p)
         _add_store_arg(p)
         _add_machine_args(p)
         if name == "compare":
@@ -935,10 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "any violation)")
     p.add_argument("--chrome", metavar="PATH",
                    help="also export a Chrome/Perfetto trace JSON")
-    p.add_argument("--spans", action="store_true",
-                   help="print the span profiler's self-time attribution "
-                        "table instead of the epoch digest (record spans "
-                        "with 'simulate/compare --trace --spans')")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser(
@@ -957,35 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run store used to resolve run ids "
                         f"(default: {DEFAULT_STORE})")
     p.set_defaults(fn=cmd_stats)
-
-    p = sub.add_parser(
-        "bench",
-        help="perf-tracking benchmark suite (writes BENCH_sweep.json)",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="CI-sized suite (seconds instead of minutes)")
-    p.add_argument("--output", default="BENCH_sweep.json", metavar="PATH",
-                   help="report path (default: BENCH_sweep.json)")
-    p.add_argument("--baseline", metavar="REPORT",
-                   help="gate this run against a stored repro-bench report "
-                        "(e.g. the committed BENCH_sweep.json); exits 1 on "
-                        "regression")
-    p.add_argument("--gate-pct", type=_positive_float,
-                   default=DEFAULT_GATE_PCT, metavar="N",
-                   help="allowed throughput drop vs the baseline, percent "
-                        f"(default {DEFAULT_GATE_PCT:g})")
-    p.add_argument("--history", default="BENCH_history.jsonl",
-                   metavar="PATH",
-                   help="perf-ledger path this run (and its gate verdict) "
-                        "is appended to (default: BENCH_history.jsonl)")
-    p.add_argument("--no-history", dest="history", action="store_const",
-                   const=None, help="skip the perf-ledger append")
-    p.add_argument("--attribute", nargs=2, metavar=("OLD", "NEW"),
-                   help="skip the suite; attribute the throughput delta "
-                        "between two stored bench reports to the span "
-                        "phase whose self time shifted the most")
-    _add_jobs_arg(p)
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
         "runs",
@@ -1026,10 +947,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace file or stored run id (baseline side)")
     p.add_argument("b", metavar="B",
                    help="trace file or stored run id (candidate side)")
-    p.add_argument("--rel-tol", type=float, default=0.0, metavar="R",
+    p.add_argument("--rel-tol", type=_non_negative_float, default=0.0,
+                   metavar="R",
                    help="relative tolerance for float metric fields "
                         "(default 0 = exact, the determinism gate)")
-    p.add_argument("--abs-tol", type=float, default=0.0, metavar="A",
+    p.add_argument("--abs-tol", type=_non_negative_float, default=0.0,
+                   metavar="A",
                    help="absolute tolerance for float metric fields")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--store", default=DEFAULT_STORE, metavar="DIR",

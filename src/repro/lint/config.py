@@ -17,7 +17,7 @@ this repository's layout:
     [tool.repro-lint.rules]                  # rule-specific path scoping
     det001-allow = ["repro/util/rng.py"]
     det002-paths = ["repro/sim/", "repro/cache/", "repro/partitioning/"]
-    det002-allow = ["repro/parallel/bench.py"]   # measurement harnesses
+    det002-allow = ["repro/telemetry/timing.py"]  # clock chokepoints
     inv001-allow = ["repro/partitioning/", "repro/resilience/guard.py",
                     "repro/cache/partition_map.py"]
     api001-annotation-paths = ["src/"]
@@ -76,9 +76,9 @@ class LintConfig:
         "repro/cache/",
         "repro/partitioning/",
     )
-    #: files inside ``det002_paths`` that legitimately measure wall time
-    #: (benchmark harnesses), carved out here instead of inline disables.
-    det002_allow: tuple[str, ...] = ("repro/parallel/bench.py",)
+    #: files inside ``det002_paths`` that legitimately read wall time
+    #: (clock chokepoints), carved out here instead of inline disables.
+    det002_allow: tuple[str, ...] = ()
     #: files allowed to construct PartitionMap directly (INV001).
     inv001_allow: tuple[str, ...] = (
         "repro/partitioning/",

@@ -162,7 +162,7 @@ def _det002(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
     if not ctx.matches(ctx.config.det002_paths):
         return
     if ctx.matches(ctx.config.det002_allow):
-        return  # configured measurement harness (e.g. the bench suite)
+        return  # configured clock chokepoint (e.g. telemetry/timing.py)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:

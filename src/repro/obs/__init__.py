@@ -11,17 +11,12 @@ snapshots), this package *consumes* across runs:
   doubles as the serial-vs-parallel determinism gate;
 * :mod:`repro.obs.watch` — incremental tail reading of a growing trace
   with throughput/ETA from progress heartbeats (``repro watch``);
-* :mod:`repro.obs.gate`  — bench regression gating against a committed
-  baseline plus the append-only ``BENCH_history.jsonl`` perf ledger
-  (``repro bench --baseline --gate-pct``);
 * :mod:`repro.obs.series` — the per-epoch columnar time-series sidecar
   archived next to each stored trace (``timeseries.json.gz``),
   deterministic down to the byte;
 * :mod:`repro.obs.analytics` — trace and cross-run analytics: the
-  per-epoch digest behind ``repro report`` (``--spans`` for self-time
-  attribution), ``repro stats`` column aggregates, ``repro runs query``
-  filters, and the span-profile throughput attribution behind
-  ``repro bench --attribute``.
+  per-epoch digest behind ``repro report``, ``repro stats`` column
+  aggregates and ``repro runs query`` filters.
 
 Everything here is read-side tooling: importing or using it never touches
 a simulation's hot path, so the zero-overhead-when-off contract of the
@@ -30,15 +25,12 @@ telemetry layer is untouched.
 
 from repro.obs.analytics import (
     STAT_QUANTILES,
-    attribute_delta,
     epoch_digest,
     exact_quantile,
     query_runs,
-    render_attribution_text,
     render_digest_json,
     render_digest_text,
     render_runs_query_text,
-    render_spans_text,
     render_stats_csv,
     render_stats_json,
     render_stats_text,
@@ -56,15 +48,6 @@ from repro.obs.diff import (
     render_diff_text,
 )
 from repro.obs.errors import ObsError
-from repro.obs.gate import (
-    DEFAULT_GATE_PCT,
-    GateEntry,
-    GateResult,
-    append_history,
-    gate_report,
-    load_report,
-    render_gate_text,
-)
 from repro.obs.series import (
     SERIES_FORMAT,
     SERIES_NAME,
@@ -88,13 +71,10 @@ from repro.obs.store import (
 from repro.obs.watch import TailChunk, TailReader, WatchView, watch_trace
 
 __all__ = [
-    "DEFAULT_GATE_PCT",
     "DEFAULT_STORE",
     "DiffReport",
     "Divergence",
     "FieldDiff",
-    "GateEntry",
-    "GateResult",
     "MetricDelta",
     "ObsError",
     "RunRecord",
@@ -106,29 +86,22 @@ __all__ = [
     "TailChunk",
     "TailReader",
     "WatchView",
-    "append_history",
-    "attribute_delta",
     "build_series",
     "config_fingerprint",
     "diff_traces",
     "epoch_digest",
     "exact_quantile",
-    "gate_report",
     "git_rev",
     "headline_from_comparison",
     "headline_from_montecarlo",
     "headline_from_result",
-    "load_report",
     "load_series",
     "query_runs",
-    "render_attribution_text",
     "render_diff_json",
     "render_diff_text",
     "render_digest_json",
     "render_digest_text",
-    "render_gate_text",
     "render_runs_query_text",
-    "render_spans_text",
     "render_stats_csv",
     "render_stats_json",
     "render_stats_text",

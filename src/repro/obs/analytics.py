@@ -1,22 +1,19 @@
 """Trace and cross-run analytics: digest traces, query time series and
 the run store.
 
-Four read-side tools over artifacts the rest of the stack already
+Three read-side tools over artifacts the rest of the stack already
 produces:
 
 * :func:`epoch_digest` + renderers — ``repro report <trace>``: which
   epoch installed which way vector, where the guard fell back, how bank
-  counters moved between epochs, how sweep items spent their wall time,
-  and (``--spans``) the span profiler's self-time attribution;
+  counters moved between epochs and how sweep items spent their wall
+  time;
 * :func:`series_stats` + renderers — ``repro stats <run|trace>``:
   aggregate/quantile any column of a per-epoch time series
   (:mod:`repro.obs.series`), as text, JSON or CSV;
 * :func:`query_runs` + renderers — ``repro runs query``: filter stored
   runs by source/scheme/workload/config-fingerprint/date and tabulate
-  their headline metrics;
-* :func:`attribute_delta` — ``repro bench --attribute OLD NEW``: use the
-  span self-time profile recorded by the bench suite to attribute a
-  throughput delta between two reports to the phase that moved.
+  their headline metrics.
 
 Everything here is deterministic given its inputs: quantiles are exact
 nearest-rank over the stored values (no histogram estimation), rows sort
@@ -197,40 +194,6 @@ def render_digest_text(events: Sequence[Mapping]) -> str:
                 f"{slowest.get('label')} at {slowest.get('wall_s', 0.0):.3f}s"
             )
     return "\n\n".join(blocks)
-
-
-def render_spans_text(events: Sequence[Mapping]) -> str:
-    """The span self-time attribution table (``repro report --spans``).
-
-    Self times sum to the total duration of the root spans by
-    construction (see :mod:`repro.telemetry.spans`), and the footer
-    prints both totals so the reconciliation is visible.
-    """
-    from repro.analysis.report import format_table
-    from repro.telemetry.spans import span_attribution, span_totals
-
-    rows = span_attribution(events)
-    if not rows:
-        return ("no span events in this trace (record one with "
-                "--spans on a traced run)")
-    totals = span_totals(events)
-    table = format_table(
-        ["phase", "count", "total s", "self s", "mean s", "self %"],
-        [
-            (r["path"], r["count"], f"{r['total_s']:.4f}",
-             f"{r['self_s']:.4f}", f"{r['mean_s']:.6f}",
-             f"{r['self_s'] / totals['wall_total_s'] * 100:.1f}"
-             if totals["wall_total_s"] else "-")
-            for r in rows
-        ],
-        title="Span self-time attribution",
-    )
-    footer = (
-        f"{totals['spans']} spans over {totals['paths']} phases; "
-        f"self-time total {totals['self_total_s']:.4f}s reconciles with "
-        f"root-span wall total {totals['wall_total_s']:.4f}s"
-    )
-    return f"{table}\n{footer}"
 
 
 # -- time-series statistics ---------------------------------------------------
@@ -464,93 +427,14 @@ def render_runs_query_text(rows: Sequence[Mapping]) -> str:
     )
 
 
-# -- bench span attribution --------------------------------------------------
-
-
-def _span_profile(report: Mapping) -> tuple[float, dict[str, float]]:
-    """(throughput, per-phase self seconds) of one bench report."""
-    for bench in report.get("benchmarks", []):
-        meta = bench.get("meta") or {}
-        if "span_self_s" in meta:
-            return float(bench["throughput"]), dict(meta["span_self_s"])
-    raise ObsError(
-        "bench report carries no span profile — re-run 'repro bench' "
-        "(the detailed_epoch_spans entry records span_self_s)"
-    )
-
-
-def attribute_delta(old: Mapping, new: Mapping) -> dict:
-    """Attribute a throughput delta between two bench reports to the
-    span phase whose self time moved the most.
-
-    Phases are compared on *per-epoch-normalised* self seconds (each
-    profile is scaled by its own total so differing run lengths cancel);
-    the mover is the phase with the largest absolute share shift.
-    """
-    old_tp, old_self = _span_profile(old)
-    new_tp, new_self = _span_profile(new)
-    old_total = sum(old_self.values()) or 1.0
-    new_total = sum(new_self.values()) or 1.0
-    phases = []
-    for path in sorted(set(old_self) | set(new_self)):
-        old_share = old_self.get(path, 0.0) / old_total
-        new_share = new_self.get(path, 0.0) / new_total
-        phases.append({
-            "path": path,
-            "old_self_s": old_self.get(path, 0.0),
-            "new_self_s": new_self.get(path, 0.0),
-            "old_share": old_share,
-            "new_share": new_share,
-            "share_shift": new_share - old_share,
-        })
-    phases.sort(key=lambda p: (-abs(p["share_shift"]), p["path"]))
-    return {
-        "old_throughput": old_tp,
-        "new_throughput": new_tp,
-        "delta_pct": (new_tp - old_tp) / old_tp * 100.0 if old_tp else 0.0,
-        "phases": phases,
-        "mover": phases[0]["path"] if phases else None,
-    }
-
-
-def render_attribution_text(result: Mapping) -> str:
-    from repro.analysis.report import format_table
-
-    lines = [
-        f"throughput {result['old_throughput']:.4g} -> "
-        f"{result['new_throughput']:.4g} "
-        f"({result['delta_pct']:+.1f}%)",
-    ]
-    if result["mover"] is not None:
-        lines.append(
-            f"largest phase shift: {result['mover']} "
-            f"({result['phases'][0]['share_shift']:+.1%} of self time)"
-        )
-    lines.append(format_table(
-        ["phase", "old self s", "new self s", "old share", "new share",
-         "shift"],
-        [
-            [p["path"], f"{p['old_self_s']:.4f}", f"{p['new_self_s']:.4f}",
-             f"{p['old_share']:.1%}", f"{p['new_share']:.1%}",
-             f"{p['share_shift']:+.1%}"]
-            for p in result["phases"]
-        ],
-        title="Span self-time attribution",
-    ))
-    return "\n".join(lines)
-
-
 __all__ = (
     "STAT_QUANTILES",
-    "attribute_delta",
     "epoch_digest",
     "exact_quantile",
     "query_runs",
-    "render_attribution_text",
     "render_digest_json",
     "render_digest_text",
     "render_runs_query_text",
-    "render_spans_text",
     "render_stats_csv",
     "render_stats_json",
     "render_stats_text",

@@ -30,6 +30,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
+from repro.obs.errors import ObsError
 from repro.telemetry.events import canonical_events
 
 #: domain annotations attached to diverging fields of an epoch_decision —
@@ -279,8 +280,14 @@ def diff_traces(
     Both streams are projected onto their deterministic fields first, so
     wall-clock jitter never reads as divergence.  The walk stops at the
     first event pair with a non-waived difference; headline metric deltas
-    are computed over the *full* streams either way.
+    are computed over the *full* streams either way.  Tolerances must be
+    finite and non-negative (:class:`ObsError` otherwise).
     """
+    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ObsError(
+                f"{name} must be finite and non-negative, got {tol!r}"
+            )
     ca, cb = canonical_events(a), canonical_events(b)
     waived = [0]
     report = DiffReport(a_label, b_label, len(ca), len(cb))

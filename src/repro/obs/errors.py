@@ -10,4 +10,4 @@ from repro.errors import ReproError
 
 
 class ObsError(ReproError):
-    """A run-store, diff, watch or gate operation failed cleanly."""
+    """A run-store, diff, watch or analytics operation failed cleanly."""

@@ -1,10 +1,7 @@
-"""Sweep speed-ups that never change results: profile caching and the
-perf-tracking bench.
+"""Sweep speed-ups that never change results: profile caching.
 
 * :mod:`~repro.parallel.profile_cache` memoizes the 26-workload MSA
-  profiling pass on disk, keyed by everything that determines a curve;
-* :mod:`~repro.parallel.bench` is the ``repro bench`` perf-tracking suite
-  (imported directly by the CLI, not re-exported here).
+  profiling pass on disk, keyed by everything that determines a curve.
 
 Process fan-out itself lives in :class:`repro.fabric.Supervisor`, the one
 order-preserving executor every sweep uses.

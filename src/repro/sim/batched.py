@@ -247,7 +247,6 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
     next_epoch = controller.next_epoch if controller is not None else _INF
     sanitizer = system.sanitizer
     tracer = system.tracer
-    spans = system.spans
     warmup = system.warmup_cycles
     max_cycles = system.max_cycles
     have_max = max_cycles is not None
@@ -714,16 +713,9 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                 stop = max_cycles
                 break
             if t >= next_epoch:
-                if spans is None:
-                    flush_pending(c, poss_[c])
-                    if sanitizer is not None:
-                        check_in()
-                else:
-                    with spans.span("profiler.flush"):
-                        flush_pending(c, poss_[c])
-                    if sanitizer is not None:
-                        with spans.span("queue.drain"):
-                            check_in()
+                flush_pending(c, poss_[c])
+                if sanitizer is not None:
+                    check_in()
                 installed = controller.tick(t)
                 next_epoch = controller.next_epoch
                 refresh_partition()
@@ -1198,14 +1190,8 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
     # hot loop does not maintain `arrival` per event)
     for a, cc in heap:
         arrival[cc] = a
-    if spans is None:
-        flush_pending(-1, 0)
-        check_in()
-    else:
-        with spans.span("profiler.flush"):
-            flush_pending(-1, 0)
-        with spans.span("queue.drain"):
-            check_in()
+    flush_pending(-1, 0)
+    check_in()
     for cc in range(ncores):
         timer = timers[cc]
         a = arrival[cc]

@@ -33,7 +33,6 @@ from repro.resilience.faults import FaultInjector
 from repro.resilience.guard import DecisionGuard, DegradedMode
 from repro.resilience.sanitizer import ReproSanitizer
 from repro.sim.stats import EpochRecord
-from repro.telemetry.spans import SpanRecorder, maybe_span
 from repro.telemetry.tracer import Tracer
 
 
@@ -69,7 +68,6 @@ class EpochController:
         fault_injector: FaultInjector | None = None,
         sanitizer: ReproSanitizer | None = None,
         tracer: Tracer | None = None,
-        spans: SpanRecorder | None = None,
         regulator=None,
     ) -> None:
         policy = get_policy(algorithm)
@@ -102,7 +100,6 @@ class EpochController:
         self.fault_injector = fault_injector
         self.sanitizer = sanitizer
         self.tracer = tracer
-        self.spans = spans
         self.next_epoch = epoch_cycles
         self.epoch_index = 0  #: boundaries evaluated (fault windows key on it)
         self.history: list[EpochRecord] = []
@@ -243,8 +240,7 @@ class EpochController:
             # the boundary never fired: no decision, no decay
             self._trace_skip(now, epoch, "fault injector dropped the boundary")
             return False
-        with maybe_span(self.spans, "profiler.observe"):
-            hists = self._read_histograms(epoch)
+        hists = self._read_histograms(epoch)
         if self.sanitizer is not None:
             # Mass conservation runs OUTSIDE guard containment on purpose:
             # a tampered histogram must stop the run, not degrade it.
@@ -271,12 +267,10 @@ class EpochController:
             MissCurve.from_histogram(name, h)
             for name, h in zip(self.names, hists)
         ]
-        with maybe_span(self.spans, "policy.decide"):
-            pmap, record, decision = self._decide(now, curves)
-        with maybe_span(self.spans, "install"):
-            self.l2.apply_partition(pmap)
-            if self.sanitizer is not None:
-                self.sanitizer.check_epoch_install(self.l2, pmap, decision)
+        pmap, record, decision = self._decide(now, curves)
+        self.l2.apply_partition(pmap)
+        if self.sanitizer is not None:
+            self.sanitizer.check_epoch_install(self.l2, pmap, decision)
         self.history.append(record)
         self._trace_decision(now, epoch, curves, record)
         self._finish_epoch()
@@ -289,15 +283,13 @@ class EpochController:
         per_core_min = self.min_observations / max(len(self.profilers), 1)
         guard_log_start = len(guard.events)
         try:
-            with maybe_span(self.spans, "guard.check"):
-                curves = [
-                    guard.checked_curve(
-                        name, core, h, min_observations=per_core_min
-                    )
-                    for core, (name, h) in enumerate(zip(self.names, hists))
-                ]
-            with maybe_span(self.spans, "policy.decide"):
-                pmap, record, decision = self._decide(now, curves)
+            curves = [
+                guard.checked_curve(
+                    name, core, h, min_observations=per_core_min
+                )
+                for core, (name, h) in enumerate(zip(self.names, hists))
+            ]
+            pmap, record, decision = self._decide(now, curves)
         except ReproError as error:
             mode = guard.note_failure(now, error)
             self._apply_degraded(mode)
@@ -316,13 +308,12 @@ class EpochController:
             self._finish_epoch()
             return False
         self._apply_degraded(mode)
-        with maybe_span(self.spans, "install"):
-            self.l2.apply_partition(pmap)
-            if self.sanitizer is not None:
-                # Post-install deep check, outside containment: if
-                # aggregation broke Rules 1-3 or way conservation, fail
-                # loudly.
-                self.sanitizer.check_epoch_install(self.l2, pmap, decision)
+        self.l2.apply_partition(pmap)
+        if self.sanitizer is not None:
+            # Post-install deep check, outside containment: if
+            # aggregation broke Rules 1-3 or way conservation, fail
+            # loudly.
+            self.sanitizer.check_epoch_install(self.l2, pmap, decision)
         guard.record_install(pmap)
         self.history.append(record)
         self._trace_guard_events(epoch, guard_log_start)

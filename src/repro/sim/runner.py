@@ -78,11 +78,6 @@ class RunSettings:
     #: :mod:`repro.telemetry`).  Off by default — untraced runs construct
     #: no telemetry objects and stay bit-identical to the seed behaviour.
     trace: bool = False
-    #: record hierarchical span timings of the run's epoch phases (see
-    #: :mod:`repro.telemetry.spans`).  Requires ``trace``; spans flush
-    #: into the event stream as advisory ``span`` events, so the canonical
-    #: trace is unchanged.  Off by default — no recorder is constructed.
-    spans: bool = False
     #: execution backend: 'reference' (checked object-model event loop) or
     #: 'batched' (struct-of-arrays engine, bit-identical; see
     #: :mod:`repro.sim.batched`).
@@ -134,7 +129,6 @@ def build_system(
         fault_plan=st.fault_plan,
         sanitize=st.sanitize,
         trace=st.trace,
-        spans=st.spans,
         backend=st.sim_backend,
     )
     system.set_measurement_window(st.warmup_cycles, st.duration_cycles)

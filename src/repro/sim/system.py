@@ -42,7 +42,6 @@ from repro.resilience.sanitizer import ReproSanitizer
 from repro.sim.controller import EpochController
 from repro.sim.stats import CoreResult, SystemResult
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import SpanRecorder
 from repro.telemetry.tracer import Tracer
 from repro.workloads.synthetic import WorkloadSpec
 
@@ -78,7 +77,6 @@ class CMPSystem:
         fault_plan: FaultPlan | None = None,
         sanitize: bool = False,
         trace: bool = False,
-        spans: bool = False,
         backend: str = "reference",
     ) -> None:
         config.validate()
@@ -118,14 +116,10 @@ class CMPSystem:
         )
         # Telemetry is opt-in by construction: untraced runs never allocate
         # a tracer or registry and every emission site checks for None.
-        if spans and not trace:
-            raise ConfigError("span profiling requires tracing (spans "
-                              "flush into the event stream)")
         self.tracer: Tracer | None = Tracer() if trace else None
         self.metrics: MetricsRegistry | None = (
             MetricsRegistry() if trace else None
         )
-        self.spans: SpanRecorder | None = SpanRecorder() if spans else None
         if self.tracer is not None:
             self.tracer.emit_run_meta(
                 "detailed-sim",
@@ -179,7 +173,6 @@ class CMPSystem:
                 ),
                 sanitizer=self.sanitizer,
                 tracer=self.tracer,
-                spans=self.spans,
                 regulator=self.regulator,
             )
 
@@ -245,30 +238,19 @@ class CMPSystem:
     def run(self) -> SystemResult:
         """Simulate until any core's trace is exhausted (or ``max_cycles``);
         all cores are co-scheduled for the entire simulated duration."""
-        if self.spans is not None:
-            with self.spans.span("run"):
-                self._run_engine()
-        else:
-            self._run_engine()
-        if self.sanitizer is not None:
-            # Final deep sweep: the whole cache must still be coherent.
-            self.sanitizer.check_installation(self.l2)
-        if self.tracer is not None:
-            if self.spans is not None:
-                # flush before the final snapshot so the end-of-run
-                # bank_snapshot stays the stream's last event
-                self.spans.emit_events(self.tracer)
-            # end-of-run totals snapshot, by convention at epoch -1
-            self._emit_bank_snapshot(self.stop_time or 0.0, -1)
-        return self.results()
-
-    def _run_engine(self) -> None:
         if self.backend == "batched":
             from repro.sim.batched import run_batched
 
             run_batched(self)
         else:
             self._run_reference()
+        if self.sanitizer is not None:
+            # Final deep sweep: the whole cache must still be coherent.
+            self.sanitizer.check_installation(self.l2)
+        if self.tracer is not None:
+            # end-of-run totals snapshot, by convention at epoch -1
+            self._emit_bank_snapshot(self.stop_time or 0.0, -1)
+        return self.results()
 
     def _run_reference(self) -> None:
         """The checked object-model event loop (one heap event per access)."""

@@ -5,9 +5,7 @@ of typed, schema-stable events (epoch decisions, guard ladder actions,
 bank counter snapshots, sweep-item timing) written as JSON-lines, a
 :class:`MetricsRegistry` of counters/gauges/histograms surfaced through
 ``SystemResult.telemetry``, and a Chrome-trace exporter for timelines.
-:mod:`repro.telemetry.spans` adds a hierarchical wall-clock span profiler
-whose records travel as advisory events inside the same stream.  The
-digests that read traces back (``repro report``) live in
+The digests that read traces back (``repro report``) live in
 :mod:`repro.obs.analytics`.
 
 The subsystem is opt-in by construction: nothing here is instantiated
@@ -38,14 +36,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.spans import (
-    SpanRecorder,
-    maybe_span,
-    self_seconds_by_phase,
-    span_attribution,
-    span_records,
-    span_totals,
-)
 from repro.telemetry.tracer import Tracer, read_jsonl, write_jsonl
 
 __all__ = [
@@ -56,19 +46,13 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "SCHEMA_VERSION",
-    "SpanRecorder",
     "Tracer",
     "TelemetryError",
     "canonical_events",
     "check_trace",
     "chrome_trace",
-    "maybe_span",
     "read_jsonl",
     "schema_rows",
-    "self_seconds_by_phase",
-    "span_attribution",
-    "span_records",
-    "span_totals",
     "validate_event",
     "validate_events",
     "write_chrome_trace",

@@ -12,10 +12,6 @@ with two process tracks:
   ``sweep_item``, laid end-to-end per scheme lane in submission order.
   Items overlapped in a parallel run, so this lane shows *per-item cost*,
   not the run's true concurrency; the JSONL stays the source of truth.
-* **pid 3 — profiler spans**: complete ("X") events for every ``span``
-  event (see :mod:`repro.telemetry.spans`), on true wall-clock offsets
-  relative to the earliest span, one lane per nesting depth — so the
-  flame-graph structure of the epoch phases renders directly.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ def chrome_trace(events: Iterable[Mapping]) -> dict:
     ]
     lanes: dict[str, int] = {}  # scheme/label lane -> tid
     cursor: dict[int, float] = {}  # tid -> next free wall microsecond
-    spans: list[Mapping] = []  # span events, rendered after the pass
     for event in events:
         etype = event.get("type")
         scheme = event.get("scheme", "")
@@ -102,36 +97,6 @@ def chrome_trace(events: Iterable[Mapping]) -> dict:
                     "dur": dur,
                     "args": {"index": event.get("index")},
                 }
-            )
-        elif etype == "span":
-            spans.append(event)
-    if spans:
-        trace.append(
-            {"name": "process_name", "ph": "M", "pid": 3, "tid": 0,
-             "args": {"name": "profiler spans"}}
-        )
-        origin = min(float(s.get("t0", 0.0)) for s in spans)
-        for event in spans:
-            t0 = float(event.get("t0", 0.0))
-            t1 = float(event.get("t1", t0))
-            depth = int(event.get("depth", 0))
-            trace.append(
-                {
-                    "name": str(event.get("path", event.get("name"))),
-                    "ph": "X",
-                    "pid": 3,
-                    "tid": depth,
-                    "ts": (t0 - origin) * 1e6,
-                    "dur": max(t1 - t0, 0.0) * 1e6,
-                    "args": {"scheme": event.get("scheme", "")},
-                }
-            )
-        for depth in sorted(
-            {int(s.get("depth", 0)) for s in spans}
-        ):
-            trace.append(
-                {"name": "thread_name", "ph": "M", "pid": 3, "tid": depth,
-                 "args": {"name": f"depth {depth}"}}
             )
     for name, tid in lanes.items():
         for pid in (1, 2):

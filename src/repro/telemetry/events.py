@@ -159,11 +159,12 @@ EVENT_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "rung": _OPT_STR,  #: degradation-ladder rung the action ran under
         "detail": _OPT_STR,
     },
-    # one completed profiler span (see :mod:`repro.telemetry.spans`):
-    # a named phase's wall-clock window with its slash-joined ancestry
-    # path and nesting depth.  Advisory: spans describe where *host* time
-    # went, never what the run computed, so the canonical projection
-    # drops them and a spanned run's trace equals the unspanned run's.
+    # one completed span of the in-program profiler earlier versions
+    # had: a named phase's wall-clock window with its slash-joined
+    # ancestry path and nesting depth.  Nothing emits it any more; the
+    # schema is kept so traces stored by earlier versions still validate
+    # and diff.  Advisory: a span described where *host* time went, not
+    # what the run computed, so the canonical projection drops it.
     "span": {
         "name": _STR,
         "path": _STR,
@@ -175,8 +176,8 @@ EVENT_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
 
 #: event types that may legitimately differ between two otherwise
 #: identical runs (a stored trace from an earlier version may carry
-#: supervisor retries; a span exists only in the run that asked for
-#: profiling; a resumed sweep yields only the items it recomputed).
+#: supervisor retries or profiler spans; a resumed sweep yields only the
+#: items it recomputed).
 #: :func:`canonical_events` removes them wholesale and renumbers ``seq``,
 #: so the determinism gate compares only the computed stream.
 ADVISORY_EVENTS = frozenset({"supervisor", "span", "sweep_item"})

@@ -1,8 +1,8 @@
 """Wall-clock reads for telemetry timing.
 
 This is the *only* module in the telemetry/parallel tree allowed to touch
-the host clock (scoped via ``det002-allow`` in ``[tool.repro-lint]``, the
-same carve-out the bench harness uses).  Everything else consumes either
+the host clock (scoped via ``det002-allow`` in ``[tool.repro-lint]``).
+Everything else consumes either
 simulated cycles or the opaque floats returned here, and the schema marks
 every field derived from them ``deterministic=False``.
 """

@@ -121,8 +121,7 @@ class Tracer:
         ``pre_validated=True`` skips per-event schema validation for
         streams that a validating tracer already checked on emit (every
         worker-side tracer does) — re-walking each schema on merge is
-        pure overhead, measured by the ``tracer_extend`` entry in
-        ``repro bench``.  Re-sequencing and scheme-tagging cannot
+        pure overhead.  Re-sequencing and scheme-tagging cannot
         invalidate a valid event (``seq`` and ``scheme`` are common
         fields), so the fast path is exact, not approximate.
         """

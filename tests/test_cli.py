@@ -92,6 +92,12 @@ class TestArgumentValidation:
         ["simulate", "--set", "1", "--duration", "0"],
         ["profile", "gzip", "--accesses", "-1"],
         ["montecarlo", "--mixes", "0"],
+        ["simulate", "--set", "1", "--duration", "nan"],
+        ["simulate", "--set", "1", "--duration", "inf"],
+        ["watch", "trace.jsonl", "--interval", "nan"],
+        ["diff", "a.jsonl", "b.jsonl", "--rel-tol", "-1"],
+        ["profile", "bzip2", "--scale", "32", "--accesses", "2000",
+         "--ways", "8,x"],
     ])
     def test_non_positive_values_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as info:

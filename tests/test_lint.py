@@ -283,21 +283,21 @@ class TestConfig:
     def test_det002_allow_carves_out_harness(self):
         cfg = config_from_mapping(
             {"rules": {
-                "det002-paths": ["repro/parallel/"],
-                "det002-allow": ["repro/parallel/bench.py"],
+                "det002-paths": ["repro/telemetry/"],
+                "det002-allow": ["repro/telemetry/timing.py"],
             }}
         )
         src = "import time\nnow = time.time()\n"
         assert "DET002" in rules_of(
-            lint(src, path="src/repro/parallel/profile_cache.py", config=cfg)
+            lint(src, path="src/repro/telemetry/tracer.py", config=cfg)
         )
         assert "DET002" not in rules_of(
-            lint(src, path="src/repro/parallel/bench.py", config=cfg)
+            lint(src, path="src/repro/telemetry/timing.py", config=cfg)
         )
 
     def test_repo_config_scopes_bench_harness(self):
         cfg = load_config()
-        assert "repro/parallel/bench.py" in cfg.det002_allow
+        assert "repro/telemetry/timing.py" in cfg.det002_allow
 
 
 # ------------------------------------------------------------- reporters

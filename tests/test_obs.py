@@ -1,11 +1,10 @@
-"""The run observatory: store, diff, watch, gate, and their CLI surface.
+"""The run observatory: store, diff, watch, analytics, and their CLI surface.
 
 The load-bearing contracts: a stored run's manifest binds results to
 their provenance; ``repro diff`` finds the *first* canonical divergence
 and exits non-zero on any (making it the serial-vs-parallel determinism
 gate); the tail reader survives both a writer mid-append and the final
-atomic replace; the bench gate fails on throughput collapse and on
-silently dropped benchmarks.
+atomic replace.
 """
 
 import json
@@ -20,11 +19,8 @@ from repro.obs import (
     RunStore,
     TailReader,
     WatchView,
-    append_history,
     config_fingerprint,
     diff_traces,
-    gate_report,
-    load_report,
     render_diff_text,
     watch_trace,
 )
@@ -181,6 +177,9 @@ class TestDiff:
         loose = diff_traces(a, b, rel_tol=1e-6)
         assert loose.exit_code == 0
         assert loose.waived > 0
+        for bad in ({"rel_tol": -1.0}, {"abs_tol": float("nan")}):
+            with pytest.raises(ObsError, match="non-negative"):
+                diff_traces(a, b, **bad)
 
 
 # ---------------------------------------------------------------------------
@@ -329,72 +328,6 @@ class TestWatch:
         t.write_jsonl(path)
         assert watch_trace(path, interval=0.01, timeout=0.05,
                            emit=lambda _line: None) == 1
-
-
-# ---------------------------------------------------------------------------
-# bench gate
-# ---------------------------------------------------------------------------
-
-
-def _bench_payload(**throughputs):
-    return {
-        "format": "repro-bench",
-        "version": 1,
-        "suite": "quick",
-        "git_rev": "abc1234",
-        "jobs": None,
-        "benchmarks": [
-            {"name": name, "wall_s": 1.0, "throughput": tp, "unit": "x/s"}
-            for name, tp in throughputs.items()
-        ],
-    }
-
-
-class TestGate:
-    def test_within_gate_passes(self):
-        base = _bench_payload(msa=1000.0, mc=50.0)
-        cur = _bench_payload(msa=950.0, mc=51.0)
-        result = gate_report(cur, base, gate_pct=10.0)
-        assert not result.failed
-        assert [e.regressed for e in result.entries] == [False, False]
-
-    def test_regression_fails(self):
-        base = _bench_payload(msa=1000.0)
-        cur = _bench_payload(msa=800.0)
-        result = gate_report(cur, base, gate_pct=10.0)
-        assert result.failed
-        assert result.regressions == ["msa"]
-        assert result.entries[0].delta_pct == pytest.approx(-20.0)
-
-    def test_missing_benchmark_fails_added_is_informational(self):
-        base = _bench_payload(msa=1000.0, dropped=10.0)
-        cur = _bench_payload(msa=1000.0, brand_new=5.0)
-        result = gate_report(cur, base, gate_pct=10.0)
-        assert result.failed
-        assert result.missing == ["dropped"]
-        assert result.added == ["brand_new"]
-
-    def test_history_appends(self, tmp_path):
-        ledger = tmp_path / "hist.jsonl"
-        payload = _bench_payload(msa=1000.0)
-        append_history(ledger, payload)
-        gate = gate_report(payload, payload, gate_pct=10.0)
-        append_history(ledger, payload, gate)
-        lines = [json.loads(line) for line in
-                 ledger.read_text().splitlines()]
-        assert len(lines) == 2
-        assert lines[0]["gate"] is None
-        assert lines[1]["gate"]["failed"] is False
-        assert lines[1]["benchmarks"]["msa"]["throughput"] == 1000.0
-
-    def test_load_report_rejects_non_bench_json(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text('{"format": "other"}', encoding="utf-8")
-        with pytest.raises(ObsError, match="not a repro-bench report"):
-            load_report(path)
-        missing = tmp_path / "none.json"
-        with pytest.raises(ObsError, match="cannot read"):
-            load_report(missing)
 
 
 # ---------------------------------------------------------------------------
@@ -759,45 +692,6 @@ class TestAnalytics:
         assert "Stored runs (3 matched)" in text
         assert render_runs_query_text([]) == "no stored runs matched"
 
-    @staticmethod
-    def _bench_report(throughput, span_self):
-        return {
-            "format": "repro-bench", "version": 1,
-            "benchmarks": [
-                {"name": "detailed_epoch", "throughput": throughput * 2,
-                 "meta": {}},
-                {"name": "detailed_epoch_spans", "throughput": throughput,
-                 "meta": {"span_self_s": span_self}},
-            ],
-        }
-
-    def test_attribute_delta_finds_the_mover(self):
-        from repro.obs import attribute_delta, render_attribution_text
-
-        old = self._bench_report(100.0, {
-            "run": 5.0, "run/install": 3.0, "run/policy.decide": 2.0,
-        })
-        new = self._bench_report(80.0, {
-            "run": 5.0, "run/install": 3.0, "run/policy.decide": 8.0,
-        })
-        result = attribute_delta(old, new)
-        assert result["delta_pct"] == pytest.approx(-20.0)
-        assert result["mover"] == "run/policy.decide"
-        shifts = {p["path"]: p["share_shift"] for p in result["phases"]}
-        assert shifts["run/policy.decide"] == pytest.approx(0.3)
-        assert shifts["run"] == pytest.approx(-0.1875)
-        assert shifts["run/install"] == pytest.approx(-0.1125)
-        text = render_attribution_text(result)
-        assert "run/policy.decide" in text
-        assert "-20.0%" in text
-
-    def test_attribute_delta_requires_a_span_profile(self):
-        from repro.obs import attribute_delta
-
-        bare = {"format": "repro-bench", "version": 1, "benchmarks": []}
-        with pytest.raises(ObsError, match="no span profile"):
-            attribute_delta(bare, bare)
-
 
 class TestWatchMetrics:
     def test_view_tracks_latest_series_row(self, tmp_path):
@@ -840,40 +734,20 @@ class TestCliObsV2:
            "--scale", "32", "--epoch", "150000", "--seed", "3"]
 
     @pytest.fixture(scope="class")
-    def spanned_runs(self, tmp_path_factory):
+    def stored_run(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("obs-v2")
-        store = root / "store"
-        assert cli_main(self.SIM + ["--trace", str(root / "spanned.jsonl"),
-                                    "--spans", "--store", str(store)]) == 0
-        assert cli_main(self.SIM + ["--trace", str(root / "plain.jsonl")]) == 0
+        assert cli_main(self.SIM + ["--trace", str(root / "run.jsonl"),
+                                    "--store", str(root / "store")]) == 0
         return root
 
-    def test_spans_require_tracing(self):
-        with pytest.raises(SystemExit, match="--trace"):
-            cli_main(self.SIM + ["--spans"])
-
-    def test_spanned_trace_is_canonically_identical(self, spanned_runs,
-                                                    capsys):
-        assert cli_main(["diff", str(spanned_runs / "spanned.jsonl"),
-                         str(spanned_runs / "plain.jsonl")]) == 0
-        assert "no divergence" in capsys.readouterr().out
-
-    def test_report_spans_reconciles(self, spanned_runs, capsys):
-        assert cli_main(["report", str(spanned_runs / "spanned.jsonl"),
-                         "--spans"]) == 0
-        out = capsys.readouterr().out
-        assert "reconciles with root-span wall total" in out
-        assert "run/policy.decide" in out
-        assert "run/install" in out
-
-    def test_stats_trace_and_run_id_agree(self, spanned_runs, capsys):
-        store = str(spanned_runs / "store")
+    def test_stats_trace_and_run_id_agree(self, stored_run, capsys):
+        store = str(stored_run / "store")
         assert cli_main(["runs", "list", "--store", store, "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 1 and rows[0]["run_id"].startswith("simulate-")
         run_id = rows[0]["run_id"]
 
-        assert cli_main(["stats", str(spanned_runs / "spanned.jsonl"),
+        assert cli_main(["stats", str(stored_run / "run.jsonl"),
                          "--format", "csv"]) == 0
         from_trace = capsys.readouterr().out
         assert cli_main(["stats", run_id, "--store", store,
@@ -885,18 +759,18 @@ class TestCliObsV2:
         assert any(line.startswith(",core_miss_rate.c0,")
                    for line in from_trace.splitlines())
 
-    def test_stats_select_and_json(self, spanned_runs, capsys):
-        assert cli_main(["stats", str(spanned_runs / "spanned.jsonl"),
+    def test_stats_select_and_json(self, stored_run, capsys):
+        assert cli_main(["stats", str(stored_run / "run.jsonl"),
                          "--select", "ways.*", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows and all(r["column"].startswith("ways.") for r in rows)
-        assert cli_main(["stats", str(spanned_runs / "spanned.jsonl"),
+        assert cli_main(["stats", str(stored_run / "run.jsonl"),
                          "--select", "migrations"]) == 0
         out = capsys.readouterr().out
         assert "Per-epoch series stats" in out and "migrations" in out
 
-    def test_runs_query_filters_from_cli(self, spanned_runs, capsys):
-        store = str(spanned_runs / "store")
+    def test_runs_query_filters_from_cli(self, stored_run, capsys):
+        store = str(stored_run / "store")
         assert cli_main(["runs", "query", "--store", store,
                          "--source", "simulate", "--workload", "galgel"]) == 0
         out = capsys.readouterr().out
@@ -907,35 +781,8 @@ class TestCliObsV2:
         assert cli_main(["runs", "query", "--store", store, "--json"]) == 0
         assert len(json.loads(capsys.readouterr().out)) == 1
 
-    def test_watch_metrics_from_cli(self, spanned_runs, capsys):
-        assert cli_main(["watch", str(spanned_runs / "spanned.jsonl"),
+    def test_watch_metrics_from_cli(self, stored_run, capsys):
+        assert cli_main(["watch", str(stored_run / "run.jsonl"),
                          "--once", "--metrics"]) == 0
         out = capsys.readouterr().out
         assert "metrics" in out and "ways=" in out
-
-    def test_bench_attribute_from_cli(self, tmp_path, capsys):
-        def report(path, throughput, decide):
-            path.write_text(json.dumps({
-                "format": "repro-bench", "version": 1, "benchmarks": [
-                    {"name": "detailed_epoch_spans",
-                     "throughput": throughput,
-                     "meta": {"span_self_s": {"run": 4.0,
-                                              "run/install": 2.0,
-                                              "run/policy.decide": decide}}},
-                ],
-            }))
-            return str(path)
-
-        old = report(tmp_path / "old.json", 100.0, 1.0)
-        new = report(tmp_path / "new.json", 90.0, 5.0)
-        assert cli_main(["bench", "--attribute", old, new]) == 0
-        out = capsys.readouterr().out
-        assert "largest phase shift: run/policy.decide" in out
-        assert "-10.0%" in out
-
-    def test_bench_attribute_requires_span_profile(self, tmp_path, capsys):
-        bare = tmp_path / "bare.json"
-        bare.write_text(json.dumps({"format": "repro-bench", "version": 1,
-                                    "benchmarks": []}))
-        assert cli_main(["bench", "--attribute", str(bare), str(bare)]) == 2
-        assert "no span profile" in capsys.readouterr().err

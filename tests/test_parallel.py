@@ -1,4 +1,4 @@
-"""The parallel sweep layer: ordered fan-out, profile cache, bench harness.
+"""The parallel sweep layer: ordered fan-out and the profile cache.
 
 The load-bearing property throughout is *determinism*: every ``jobs``
 value, every kill/resume split and every cache hit must reproduce the
@@ -28,7 +28,6 @@ from repro.errors import (
     PoisonItemError,
 )
 from repro.fabric.supervisor import Supervisor, resolve_jobs
-from repro.parallel.bench import run_bench_suite
 from repro.parallel.profile_cache import ProfileCache, default_cache_dir
 from repro.resilience.checkpoint import load_checkpoint
 from repro.sim.runner import RunSettings, run_sweep
@@ -374,51 +373,3 @@ class TestSweepJobs:
                 assert a.results[scheme].total_instructions \
                     == b.results[scheme].total_instructions
                 assert a.results[scheme].epochs == b.results[scheme].epochs
-
-
-# ---------------------------------------------------------------------------
-# bench harness
-# ---------------------------------------------------------------------------
-
-
-class TestBenchSuite:
-    def test_quick_suite_writes_schema_stable_report(self, tmp_path):
-        out = tmp_path / "BENCH_sweep.json"
-        payload = run_bench_suite(quick=True, output=out)
-        on_disk = json.loads(out.read_text(encoding="utf-8"))
-        assert on_disk == payload
-        assert on_disk["format"] == "repro-bench"
-        assert on_disk["version"] == 1
-        assert on_disk["suite"] == "quick"
-        assert isinstance(on_disk["git_rev"], str)
-        assert set(on_disk["host"]) == {"python", "numpy", "machine"}
-        names = [b["name"] for b in on_disk["benchmarks"]]
-        assert names == [
-            "msa_observe_many",
-            "msa_observe_reference",
-            "trace_generation",
-            "montecarlo_slice",
-            "detailed_epoch",
-            "detailed_epoch_batched",
-            "detailed_epoch_spans",
-            "tracer_extend",
-        ]
-        by_name = {b["name"]: b for b in on_disk["benchmarks"]}
-        batched = by_name["detailed_epoch_batched"]
-        assert batched["meta"]["speedup_vs_reference"] > 1.0
-        assert batched["wall_s"] < by_name["detailed_epoch"]["wall_s"]
-        spanned = by_name["detailed_epoch_spans"]
-        profile = spanned["meta"]["span_self_s"]
-        assert "run" in profile
-        assert all(v >= 0.0 for v in profile.values())
-        assert isinstance(spanned["meta"]["spanned_overhead_pct"], float)
-        for bench in on_disk["benchmarks"]:
-            assert bench["wall_s"] > 0.0
-            assert bench["throughput"] > 0.0
-            assert isinstance(bench["unit"], str)
-            assert isinstance(bench["meta"], dict)
-        # the Monte Carlo points land beside the report, round-trippable
-        points = MonteCarloResult.from_json(
-            tmp_path / "BENCH_sweep.points.json"
-        )
-        assert len(points.points) == on_disk["benchmarks"][3]["meta"]["mixes"]

@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.montecarlo import collect_profiles, run_monte_carlo
 from repro.config import scaled_config
-from repro.obs import epoch_digest, render_digest_text, render_spans_text
+from repro.obs import epoch_digest, render_digest_text
 from repro.sim.runner import RunSettings, compare_schemes, run_mix
 from repro.sim.stats import SystemResult
 from repro.telemetry import metrics
@@ -23,24 +23,24 @@ from repro.telemetry import (
     EVENT_SCHEMAS,
     SCHEMA_VERSION,
     MetricsRegistry,
-    SpanRecorder,
     TelemetryError,
     Tracer,
     canonical_events,
     check_trace,
     chrome_trace,
-    maybe_span,
     read_jsonl,
     schema_rows,
-    self_seconds_by_phase,
-    span_attribution,
-    span_totals,
     validate_event,
     write_jsonl,
 )
 from repro.workloads.mixes import TABLE_III_SETS
 
 CFG = scaled_config(32, epoch_cycles=150_000)  # tiny 64-set banks for speed
+
+#: a ``span`` event as traces stored by earlier versions carry it
+STORED_SPAN = {"type": "span", "seq": 5, "scheme": "bank-aware",
+               "name": "install", "path": "run/install", "depth": 1,
+               "t0": 12.5, "t1": 12.75}
 
 
 @pytest.fixture(scope="module")
@@ -206,20 +206,22 @@ class TestEventSchema:
 
     def test_advisory_supervisor_events_dropped_and_seq_renumbered(self):
         # traces stored by earlier versions carry retries only in the run
-        # whose worker crashed, so the canonical projection must erase
-        # them without leaving a seq gap
+        # whose worker crashed, and profiler spans only in the run that
+        # asked for them, so the canonical projection must erase both
+        # without leaving a seq gap
         events = [
             {"type": "progress", "seq": 0, "done": 1, "total": 2,
              "source": "sweep"},
             {"type": "supervisor", "seq": 1, "kind": "retry", "index": 1,
              "attempt": 1, "rung": "pool", "detail": "boom"},
-            {"type": "progress", "seq": 2, "done": 2, "total": 2,
+            dict(STORED_SPAN, seq=2),
+            {"type": "progress", "seq": 3, "done": 2, "total": 2,
              "source": "sweep"},
         ]
         canon = canonical_events(events)
         assert [e["type"] for e in canon] == ["progress", "progress"]
         assert [e["seq"] for e in canon] == [0, 1]
-        clean = [events[0], dict(events[2], seq=1)]
+        clean = [events[0], dict(events[3], seq=1)]
         assert canon == canonical_events(clean)  # retried == clean
 
     def test_supervisor_event_validates(self):
@@ -229,6 +231,7 @@ class TestEventSchema:
              "index": 7, "attempt": 3, "label": "mix-7", "rung": "serial",
              "detail": "ValueError: poison"}
         ) == []
+        assert validate_event(STORED_SPAN) == []
 
     def test_validate_event_accepts_common_fields(self):
         assert validate_event(
@@ -558,176 +561,3 @@ class TestSerialParallelStreamEquality:
         assert canonical_events(pooled) == canonical_events(serial)
         points = [e for e in serial if e["type"] == "mc_point"]
         assert [e["index"] for e in points] == list(range(6))
-
-
-# ---------------------------------------------------------------------------
-# span profiler
-# ---------------------------------------------------------------------------
-
-
-class TestSpanRecorder:
-    def test_nesting_builds_slash_paths_and_depths(self):
-        rec = SpanRecorder()
-        with rec.span("run"):
-            with rec.span("decide"):
-                pass
-            with rec.span("install"):
-                with rec.span("sanitize"):
-                    pass
-        assert rec.open_depth == 0
-        # completion order: children close before their parents
-        assert [r["path"] for r in rec.records] == [
-            "run/decide", "run/install/sanitize", "run/install", "run",
-        ]
-        assert [r["depth"] for r in rec.records] == [1, 2, 1, 0]
-        for r in rec.records:
-            assert r["t1"] >= r["t0"]
-
-    def test_pop_unwinds_on_exception(self):
-        rec = SpanRecorder()
-        with pytest.raises(RuntimeError):
-            with rec.span("run"):
-                raise RuntimeError("boom")
-        assert rec.open_depth == 0
-        assert [r["path"] for r in rec.records] == ["run"]
-
-    def test_maybe_span_returns_shared_noop_when_off(self):
-        a = maybe_span(None, "x")
-        b = maybe_span(None, "y")
-        assert a is b  # one module-level nullcontext, no allocation
-        with a:
-            pass
-        rec = SpanRecorder()
-        with maybe_span(rec, "z"):
-            pass
-        assert [r["path"] for r in rec.records] == ["z"]
-
-    def test_emit_events_flushes_advisory_records(self):
-        rec = SpanRecorder()
-        with rec.span("run"):
-            pass
-        tracer = Tracer()
-        rec.emit_events(tracer)
-        assert [e["type"] for e in tracer.events] == ["span"]
-        assert validate_event(tracer.events[0]) == []
-        # advisory: the canonical projection drops spans wholesale
-        assert canonical_events(tracer.events) == []
-
-
-class TestSpanAttribution:
-    @staticmethod
-    def _events(records):
-        return [{"type": "span", "seq": i, **r}
-                for i, r in enumerate(records)]
-
-    def test_self_time_subtracts_direct_children(self):
-        events = self._events([
-            {"name": "decide", "path": "run/decide", "depth": 1,
-             "t0": 1.0, "t1": 4.0},
-            {"name": "install", "path": "run/install", "depth": 1,
-             "t0": 4.0, "t1": 6.0},
-            {"name": "run", "path": "run", "depth": 0,
-             "t0": 0.0, "t1": 10.0},
-        ])
-        rows = {r["path"]: r for r in span_attribution(events)}
-        assert rows["run"]["self_s"] == pytest.approx(5.0)  # 10 - 3 - 2
-        assert rows["run/decide"]["self_s"] == pytest.approx(3.0)
-        assert rows["run/install"]["self_s"] == pytest.approx(2.0)
-        totals = span_totals(events)
-        assert totals["spans"] == 3
-        assert totals["paths"] == 3
-        assert totals["wall_total_s"] == pytest.approx(10.0)
-        # the reconciliation invariant: self times sum to the root total
-        assert totals["self_total_s"] == pytest.approx(
-            totals["wall_total_s"]
-        )
-
-    def test_rows_sort_by_descending_self_time(self):
-        events = self._events([
-            {"name": "a", "path": "run/a", "depth": 1, "t0": 0.0, "t1": 1.0},
-            {"name": "b", "path": "run/b", "depth": 1, "t0": 1.0, "t1": 8.0},
-            {"name": "run", "path": "run", "depth": 0, "t0": 0.0, "t1": 9.0},
-        ])
-        paths = [r["path"] for r in span_attribution(events)]
-        assert paths == ["run/b", "run", "run/a"]
-
-    def test_self_seconds_by_phase_shape(self):
-        events = self._events([
-            {"name": "run", "path": "run", "depth": 0, "t0": 0.0, "t1": 2.0},
-        ])
-        assert self_seconds_by_phase(events) == {"run": pytest.approx(2.0)}
-
-    def test_render_spans_text_reconciles(self):
-        events = self._events([
-            {"name": "decide", "path": "run/decide", "depth": 1,
-             "t0": 1.0, "t1": 4.0},
-            {"name": "run", "path": "run", "depth": 0,
-             "t0": 0.0, "t1": 10.0},
-        ])
-        text = render_spans_text(events)
-        assert "run/decide" in text
-        assert "reconciles with root-span wall total 10.0000s" in text
-        assert "self-time total 10.0000s" in text
-
-    def test_render_spans_text_without_spans(self):
-        assert "no span events" in render_spans_text([])
-
-
-class TestSpannedDetailedRun:
-    SETTINGS = dict(duration_cycles=450_000.0, seed=3)
-
-    def test_spans_require_tracing(self):
-        from repro.resilience import ConfigError
-
-        with pytest.raises(ConfigError, match="requires tracing"):
-            run_mix(TABLE_III_SETS[0], "bank-aware", CFG,
-                    RunSettings(**self.SETTINGS, spans=True))
-
-    def test_spanned_run_is_canonically_identical(self):
-        traced = run_mix(TABLE_III_SETS[0], "bank-aware", CFG,
-                         RunSettings(**self.SETTINGS, trace=True))
-        spanned = run_mix(TABLE_III_SETS[0], "bank-aware", CFG,
-                          RunSettings(**self.SETTINGS, trace=True,
-                                      spans=True))
-        assert spanned.total_misses == traced.total_misses
-        assert spanned.total_instructions == traced.total_instructions
-        assert [tuple(e.ways) for e in spanned.epochs] \
-            == [tuple(e.ways) for e in traced.epochs]
-        assert canonical_events(spanned.events) \
-            == canonical_events(traced.events)
-        assert check_trace(spanned.events) == []
-        # the epoch phases appear with their documented names
-        paths = {e["path"] for e in spanned.events if e["type"] == "span"}
-        assert "run" in paths
-        assert {"run/profiler.observe", "run/policy.decide", "run/install"} \
-            <= paths
-        # spans flush before the final epoch=-1 snapshot, preserving the
-        # trailing-snapshot contract
-        assert spanned.events[-1]["type"] == "bank_snapshot"
-        assert spanned.events[-1]["epoch"] == -1
-
-    def test_spanned_batched_backend_matches_reference(self):
-        ref = run_mix(TABLE_III_SETS[0], "bank-aware", CFG,
-                      RunSettings(**self.SETTINGS, trace=True, spans=True,
-                                  sanitize=True))
-        bat = run_mix(TABLE_III_SETS[0], "bank-aware", CFG,
-                      RunSettings(**self.SETTINGS, trace=True, spans=True,
-                                  sanitize=True, sim_backend="batched"))
-        assert canonical_events(bat.events) == canonical_events(ref.events)
-        # the batched engine profiles its deferred-flush phases
-        bat_paths = {e["path"] for e in bat.events if e["type"] == "span"}
-        assert "run/profiler.flush" in bat_paths
-        assert "run/queue.drain" in bat_paths
-
-    def test_chrome_trace_renders_span_track(self):
-        spanned = run_mix(TABLE_III_SETS[0], "bank-aware", CFG,
-                          RunSettings(**self.SETTINGS, trace=True,
-                                      spans=True))
-        payload = chrome_trace(spanned.events)
-        span_events = [
-            e for e in payload["traceEvents"]
-            if e.get("pid") == 3 and e.get("ph") == "X"
-        ]
-        assert span_events
-        assert min(e["ts"] for e in span_events) == 0.0  # origin-relative
-        assert all(e["dur"] >= 0.0 for e in span_events)
