@@ -27,7 +27,6 @@ from repro.config import SystemConfig, scaled_config
 from repro.errors import CheckpointCorrupt, ConfigError
 from repro.fabric.supervisor import Supervisor
 from repro.parallel.profile_cache import ProfileCache
-from repro.partitioning.bank_aware import bank_aware_partition
 from repro.partitioning.registry import (
     PolicyContext,
     analytic_policies,
@@ -163,6 +162,24 @@ class MonteCarloPoint:
         )
 
 
+def _parse_points(items: list, source: str) -> list[MonteCarloPoint]:
+    """Stored points (a result file's or a checkpoint's) back to points;
+    the first malformed one raises :class:`CheckpointCorrupt` naming its
+    index."""
+    points = []
+    for i, item in enumerate(items):
+        malformed = f"{source}: point #{i} is malformed"
+        if not isinstance(item, dict):
+            raise CheckpointCorrupt(
+                f"{malformed}: expected an object, got {type(item).__name__}"
+            )
+        try:
+            points.append(MonteCarloPoint.from_dict(item))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointCorrupt(f"{malformed}: {exc!r}") from exc
+    return points
+
+
 @dataclass
 class MonteCarloResult:
     """All points of one Fig. 7 experiment.
@@ -258,9 +275,7 @@ class MonteCarloResult:
             or not isinstance(payload.get("points"), list)
         ):
             raise CheckpointCorrupt(f"{path}: not a {cls.JSON_FORMAT} file")
-        return cls(
-            points=[MonteCarloPoint.from_dict(d) for d in payload["points"]]
-        )
+        return cls(points=_parse_points(payload["points"], str(path)))
 
 
 #: per-worker payload installed by :func:`_montecarlo_init` (also set
@@ -289,52 +304,39 @@ def _montecarlo_point(mix: Mix) -> MonteCarloPoint:
     mix_curves = [curves[name] for name in mix.names]
     total_ways = cfg.l2.total_ways
     equal = equal_partition(cfg.num_cores, total_ways)
+    # the paper's Unrestricted field is uncapped, unlike the registry policy
     unrestricted = unrestricted_partition(
         mix_curves, total_ways, min_ways=min_ways
     )
-    decision = bank_aware_partition(
-        mix_curves,
+    ctx = PolicyContext(
+        num_cores=cfg.num_cores,
         num_banks=cfg.l2.num_banks,
         bank_ways=cfg.l2.bank_ways,
         max_ways_per_core=cfg.max_ways_per_core,
         min_ways=min_ways,
     )
-    policy_misses: dict[str, float] | None = None
-    if policies:
-        ctx = PolicyContext(
-            num_cores=cfg.num_cores,
-            num_banks=cfg.l2.num_banks,
-            bank_ways=cfg.l2.bank_ways,
-            max_ways_per_core=cfg.max_ways_per_core,
-            min_ways=min_ways,
-        )
-        policy_misses = {
-            name: predicted_misses(
-                mix_curves, list(get_policy(name).decide(mix_curves, ctx).ways)
-            )
-            for name in policies
-        }
+    ways = {
+        name: get_policy(name).decide(mix_curves, ctx).ways
+        for name in policies or ()
+    }
+    projected = {
+        name: predicted_misses(mix_curves, list(w)) for name, w in ways.items()
+    }
+    # the paper's Bank-aware field is the registry's verdict, decided once
+    if "bank-aware" in ways:
+        bank_aware = ways["bank-aware"]
+        bank_aware_misses = projected["bank-aware"]
+    else:
+        bank_aware = get_policy("bank-aware").decide(mix_curves, ctx).ways
+        bank_aware_misses = predicted_misses(mix_curves, list(bank_aware))
     return MonteCarloPoint(
         mix,
         predicted_misses(mix_curves, equal),
         predicted_misses(mix_curves, unrestricted),
-        predicted_misses(mix_curves, list(decision.ways)),
-        decision.ways,
-        policy_misses,
+        bank_aware_misses,
+        bank_aware,
+        projected if policies else None,
     )
-
-
-def _restore_points(completed: list, limit: int) -> list[MonteCarloPoint]:
-    """Checkpointed items back to points, validating each item's shape."""
-    points = []
-    for i, item in enumerate(completed[:limit]):
-        try:
-            points.append(MonteCarloPoint.from_dict(item))
-        except (KeyError, TypeError) as exc:
-            raise CheckpointCorrupt(
-                f"checkpoint item #{i} is malformed: {exc!r}"
-            ) from exc
-    return points
 
 
 def run_monte_carlo(
@@ -423,7 +425,9 @@ def run_monte_carlo(
         resume=resume,
     )
     # prefix determinism makes a longer snapshot a superset of this sweep
-    result = MonteCarloResult(points=_restore_points(ckpt.completed, num_mixes))
+    result = MonteCarloResult(
+        points=_parse_points(ckpt.completed[:num_mixes], str(checkpoint_path))
+    )
     mixes = random_mixes(num_mixes, cfg.num_cores, seed=seed)
     if tracer is not None:
         tracer.emit_run_meta(

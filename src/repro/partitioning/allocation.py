@@ -13,6 +13,8 @@ banks ``num_cores..num_banks-1`` are the Center banks.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.cache.partition_map import BankAllocation, CorePartition, PartitionMap
 from repro.errors import PartitionInvariantError
 from repro.partitioning.bank_aware import BankAwareDecision
@@ -21,9 +23,31 @@ from repro.util.floorplan import center_bank_positions
 __all__ = [
     "assign_center_banks",
     "center_bank_positions",
+    "check_center_cover",
+    "check_way_vector",
     "decision_to_partition_map",
     "vector_to_private_map",
 ]
+
+
+def check_center_cover(
+    decision: BankAwareDecision, num_cores: int, num_banks: int
+) -> None:
+    """The check :func:`assign_center_banks` needs: the decision hands out
+    every Center bank exactly once."""
+    if sum(decision.center_banks) != num_banks - num_cores:
+        raise PartitionInvariantError("decision does not cover every Center bank")
+
+
+def check_way_vector(ways: Sequence[int], total_ways: int) -> None:
+    """The checks :func:`vector_to_private_map` needs: the vector covers
+    the machine exactly and gives every core at least one way."""
+    if sum(ways) != total_ways:
+        raise PartitionInvariantError(
+            f"way vector sums to {sum(ways)}, machine has {total_ways}"
+        )
+    if any(count <= 0 for count in ways):
+        raise PartitionInvariantError("every core needs at least one way")
 
 
 def assign_center_banks(
@@ -35,9 +59,8 @@ def assign_center_banks(
     nearest free Center bank — a deterministic proximity heuristic that
     keeps a core's aggregated banks physically close to it.
     """
+    check_center_cover(decision, num_cores, num_banks)
     num_centers = num_banks - num_cores
-    if sum(decision.center_banks) != num_centers:
-        raise PartitionInvariantError("decision does not cover every Center bank")
     positions = center_bank_positions(num_cores, num_centers)
     free = set(range(num_centers))
     chosen: dict[int, list[int]] = {c: [] for c in range(num_cores)}
@@ -104,7 +127,7 @@ def decision_to_partition_map(
 
 
 def vector_to_private_map(
-    ways: list[int], *, num_banks: int, bank_ways: int
+    ways: Sequence[int], *, num_banks: int, bank_ways: int
 ) -> PartitionMap:
     """Materialise an *arbitrary* way vector as contiguous private regions.
 
@@ -113,16 +136,10 @@ def vector_to_private_map(
     bank/way grid, so a core's share may straddle banks in fractions the
     Bank-aware rules would forbid.
     """
-    total = num_banks * bank_ways
-    if sum(ways) != total:
-        raise PartitionInvariantError(
-            f"way vector sums to {sum(ways)}, machine has {total}"
-        )
+    check_way_vector(ways, num_banks * bank_ways)
     pmap = PartitionMap()
     cursor = 0
     for core, count in enumerate(ways):
-        if count == 0:
-            raise PartitionInvariantError("every core needs at least one way")
         allocations: list[BankAllocation] = []
         remaining = count
         while remaining > 0:

@@ -24,6 +24,10 @@ The algorithm (flow chart, Fig. 6) proceeds in two phases:
    the *ideal pair* is chosen — the adjacent incomplete core minimising the
    pair's combined misses under the best split of their 16 shared ways —
    and both cores are marked complete (pairing is deferred until forced).
+
+:class:`BankAwarePlan` prepares the algorithm once per set of curves and
+decides any placement of them; :func:`bank_aware_partition` is its
+decision for the identity placement, so the rules live in one place.
 """
 
 from __future__ import annotations
@@ -124,6 +128,162 @@ def _best_pair_split(
     return best
 
 
+class BankAwarePlan:
+    """The Bank-aware assignment prepared once for one set of curves.
+
+    :meth:`decide` runs the algorithm for any placement of the curves on
+    the cores; the joint swap search scores dozens of placements per mix.
+    The plan pads each curve once (:attr:`values`), precomputes each
+    curve's Center-bank bid at every count of Center banks and its fixed
+    Phase-B gain, and memoises the best split of each ordered pair of
+    curves, so a decision reads tables instead of curves (DESIGN.md
+    section 10.6).
+    """
+
+    def __init__(
+        self,
+        curves: Sequence[MissCurve],
+        *,
+        num_banks: int = 16,
+        bank_ways: int = 8,
+        max_ways_per_core: int | None = None,
+        min_ways: int = 1,
+    ) -> None:
+        n = len(curves)
+        if n < 1:
+            raise ConfigError("need at least one core")
+        num_centers = num_banks - n
+        if num_centers < 0:
+            raise ConfigError("need one Local bank per core")
+        total_ways = num_banks * bank_ways
+        cap = (
+            (total_ways * 9) // 16 if max_ways_per_core is None else max_ways_per_core
+        )
+        if cap < bank_ways:
+            raise ConfigError("cap must allow at least the Local bank")
+        if not 1 <= min_ways <= bank_ways:
+            raise ConfigError(
+                f"min_ways must be between 1 and the {bank_ways}-way Local bank, "
+                f"got {min_ways}"
+            )
+        self.bank_ways = bank_ways
+        self.min_ways = min_ways
+        self.num_centers = num_centers
+        self.total_ways = total_ways
+        # Every size read below is at most ``reach`` (Phase A stays within the
+        # cap and the machine plus one bank, Phase B within two Local banks).
+        # A curve shorter than that is padded with its last value, which is
+        # what misses_at returns past K, so plain indexing reads misses_at.
+        reach = max(min(cap, total_ways + bank_ways), 2 * bank_ways)
+        #: ``values[w][ways]`` is curve *w*'s ``misses_at(ways)``
+        self.values = [_padded(curve.values, reach) for curve in curves]
+        self._bids = [self._center_bids(m, cap) for m in self.values]
+        # an incomplete core still owns exactly its Local bank, so its marginal
+        # utility for one more way, (m[b] - m[b + 1]) / 1, is fixed for Phase B
+        self._gains = [m[bank_ways] - m[bank_ways + 1] for m in self.values]
+        self._splits: dict[tuple[int, int], tuple[int, int, float]] = {}
+
+    def _center_bids(self, m: tuple[float, ...], cap: int) -> list[tuple[float, ...]]:
+        """A curve's bid for one more Center bank while it holds k of them,
+        k = 0..num_centers: the marginal utility of ``bank_ways`` more ways,
+        tie-broken toward whoever still misses most, so spare capacity lands
+        where it could plausibly help; ``_CAPPED`` past the cap."""
+        b = self.bank_ways
+        bids: list[tuple[float, ...]] = []
+        for k in range(self.num_centers + 1):
+            a = b * (1 + k)
+            bids.append(_CAPPED if a + b > cap else ((m[a] - m[a + b]) / b, m[a]))
+        return bids
+
+    def _center_banks(self, placement: Sequence[int]) -> list[int]:
+        """Phase A (Boxes 1-3): whole Center banks by marginal utility, each
+        granted to the highest bid, ties to the lowest core."""
+        bids = [self._bids[w] for w in placement]
+        keys = [row[0] for row in bids]
+        centers = [0] * len(keys)
+        for _ in range(self.num_centers):
+            best_key = max(keys)
+            if best_key == _CAPPED:
+                raise PartitionInvariantError(
+                    "capacity cap leaves a Center bank unassignable"
+                )
+            best_core = keys.index(best_key)  # the lowest core of a tie
+            centers[best_core] += 1
+            # only the winner's allocation changes, so only its bid moves
+            keys[best_core] = bids[best_core][centers[best_core]]
+        return centers
+
+    def _pair_split(self, lower: int, upper: int) -> tuple[int, int, float]:
+        """:func:`_best_pair_split` of two curves, memoised per ordered pair."""
+        split = self._splits.get((lower, upper))
+        if split is None:
+            split = self._splits[lower, upper] = _best_pair_split(
+                self.values[lower], self.values[upper], 2 * self.bank_ways,
+                self.min_ways,
+            )
+        return split
+
+    def decide(self, placement: Sequence[int]) -> BankAwareDecision:
+        """The assignment with curve ``placement[core]`` on each core
+        (``placement`` is a permutation of the curve indices)."""
+        centers = self._center_banks(placement)
+        n = len(centers)
+        bank_ways = self.bank_ways
+        alloc = [bank_ways * (1 + count) for count in centers]
+        complete = [count > 0 for count in centers]
+
+        # ---- Phase B: Local-bank way sharing between neighbours (Boxes 4-5) -
+        gains = [self._gains[w] for w in placement]
+        pairs: list[tuple[int, int]] = []
+        while True:
+            best_core = -1
+            best_mu = 0.0
+            for core in range(n):
+                if not complete[core] and gains[core] > best_mu:
+                    best_mu, best_core = gains[core], core
+            if best_core < 0:
+                break  # nobody incomplete wants to grow
+            # Growing past the Local bank overflows into a neighbour: choose
+            # the ideal (minimal combined misses) adjacent incomplete partner.
+            candidates = [
+                p
+                for p in (best_core - 1, best_core + 1)
+                if 0 <= p < n and not complete[p]
+            ]
+            if not candidates:
+                complete[best_core] = True  # boxed in: keeps its Local bank
+                continue
+            best_partner = -1
+            best_split: tuple[int, int, float] | None = None
+            for p in candidates:
+                a, b = min(best_core, p), max(best_core, p)
+                split = self._pair_split(placement[a], placement[b])
+                if best_split is None or split[2] < best_split[2]:
+                    best_split, best_partner = split, p
+            if best_split is None:
+                raise PartitionInvariantError(
+                    f"core {best_core} has adjacent candidates {candidates} but "
+                    "no pair split was evaluated"
+                )
+            a, b = min(best_core, best_partner), max(best_core, best_partner)
+            alloc[a], alloc[b] = best_split[0], best_split[1]
+            complete[a] = complete[b] = True
+            pairs.append((a, b))
+
+        decision = BankAwareDecision(
+            ways=tuple(alloc),
+            center_banks=tuple(centers),
+            pairs=tuple(sorted(pairs)),
+            bank_ways=bank_ways,
+        )
+        if decision.total_ways != self.total_ways:
+            raise PartitionInvariantError(
+                f"assignment sums to {decision.total_ways} ways, machine has "
+                f"{self.total_ways} (way conservation broken)"
+            )
+        return decision
+
+
 def bank_aware_partition(
     curves: Sequence[MissCurve],
     *,
@@ -137,113 +297,11 @@ def bank_aware_partition(
     The machine must have one Local bank per core; the remaining banks are
     Center banks.  ``max_ways_per_core`` defaults to the paper's 9/16 cap.
     """
-    n = len(curves)
-    if n < 1:
-        raise ConfigError("need at least one core")
-    num_centers = num_banks - n
-    if num_centers < 0:
-        raise ConfigError("need one Local bank per core")
-    total_ways = num_banks * bank_ways
-    cap = (
-        (total_ways * 9) // 16 if max_ways_per_core is None else max_ways_per_core
-    )
-    if cap < bank_ways:
-        raise ConfigError("cap must allow at least the Local bank")
-    if not 1 <= min_ways <= bank_ways:
-        raise ConfigError(
-            f"min_ways must be between 1 and the {bank_ways}-way Local bank, "
-            f"got {min_ways}"
-        )
-    # Every size read below is at most ``reach`` (Phase A stays within the
-    # cap and the machine plus one bank, Phase B within two Local banks).
-    # A curve shorter than that is padded with its last value, which is
-    # what misses_at returns past K, so plain indexing reads misses_at.
-    reach = max(min(cap, total_ways + bank_ways), 2 * bank_ways)
-    values = [_padded(curve.values, reach) for curve in curves]
-
-    # ---- Phase A: whole Center banks by marginal utility (Boxes 1-3) ------
-    alloc = [bank_ways] * n  # each Local bank assumed owned by its core
-    centers = [0] * n
-
-    def center_key(core: int) -> tuple[float, ...]:
-        """The core's bid for one more Center bank: the marginal utility of
-        ``bank_ways`` more ways, tie-broken toward whoever still misses
-        most, so spare capacity lands where it could plausibly help."""
-        a = alloc[core]
-        if a + bank_ways > cap:
-            return _CAPPED
-        m = values[core]
-        return (m[a] - m[a + bank_ways]) / bank_ways, m[a]
-
-    # only the winner's allocation changes, so only its bid is recomputed
-    keys = [center_key(core) for core in range(n)]
-    for _ in range(num_centers):
-        best_core = -1
-        best_key = _CAPPED
-        for core, key in enumerate(keys):
-            if key > best_key:
-                best_key, best_core = key, core
-        if best_core < 0:
-            raise PartitionInvariantError(
-                "capacity cap leaves a Center bank unassignable"
-            )
-        alloc[best_core] += bank_ways
-        centers[best_core] += 1
-        keys[best_core] = center_key(best_core)
-    complete = [centers[c] > 0 for c in range(n)]
-
-    # ---- Phase B: Local-bank way sharing between neighbours (Boxes 4-5) ---
-    # an incomplete core still owns exactly its Local bank, so its marginal
-    # utility for one more way, (m[b] - m[b + 1]) / 1, is fixed for the phase
-    gains = [m[bank_ways] - m[bank_ways + 1] for m in values]
-    pairs: list[tuple[int, int]] = []
-    while True:
-        best_core = -1
-        best_mu = 0.0
-        for core in range(n):
-            if not complete[core] and gains[core] > best_mu:
-                best_mu, best_core = gains[core], core
-        if best_core < 0:
-            break  # nobody incomplete wants to grow
-        # Growing past the Local bank overflows into a neighbour: choose the
-        # ideal (minimal combined misses) adjacent incomplete partner now.
-        candidates = [
-            p
-            for p in (best_core - 1, best_core + 1)
-            if 0 <= p < n and not complete[p]
-        ]
-        if not candidates:
-            complete[best_core] = True  # boxed in: keeps its Local bank
-            continue
-        best_partner = -1
-        best_split: tuple[int, int, float] | None = None
-        for p in candidates:
-            a, b = min(best_core, p), max(best_core, p)
-            wa, wb, misses = _best_pair_split(
-                values[a], values[b], 2 * bank_ways, min_ways
-            )
-            if best_split is None or misses < best_split[2]:
-                best_split = (wa, wb, misses)
-                best_partner = p
-        if best_split is None:
-            raise PartitionInvariantError(
-                f"core {best_core} has adjacent candidates {candidates} but "
-                "no pair split was evaluated"
-            )
-        a, b = min(best_core, best_partner), max(best_core, best_partner)
-        alloc[a], alloc[b] = best_split[0], best_split[1]
-        complete[a] = complete[b] = True
-        pairs.append((a, b))
-
-    decision = BankAwareDecision(
-        ways=tuple(alloc),
-        center_banks=tuple(centers),
-        pairs=tuple(sorted(pairs)),
+    plan = BankAwarePlan(
+        curves,
+        num_banks=num_banks,
         bank_ways=bank_ways,
+        max_ways_per_core=max_ways_per_core,
+        min_ways=min_ways,
     )
-    if decision.total_ways != total_ways:
-        raise PartitionInvariantError(
-            f"assignment sums to {decision.total_ways} ways, machine has "
-            f"{total_ways} (way conservation broken)"
-        )
-    return decision
+    return plan.decide(range(len(curves)))

@@ -32,9 +32,9 @@ from repro.partitioning.registry import (
     PartitionPolicy,
     PolicyContext,
     PolicyDecision,
+    private_map_verdict,
     register,
 )
-from repro.partitioning.allocation import vector_to_private_map
 from repro.partitioning.static import equal_partition
 from repro.profiling.miss_curve import MissCurve
 
@@ -140,12 +140,8 @@ class BankBandwidthPolicy(PartitionPolicy):
     ) -> PolicyDecision:
         if ctx.regulator is not None:
             ctx.regulator.rebudget()
-        ways = equal_partition(ctx.num_cores, ctx.total_ways)
-        return PolicyDecision(
-            ways=tuple(ways),
-            pmap=vector_to_private_map(
-                ways, num_banks=ctx.num_banks, bank_ways=ctx.bank_ways
-            ),
+        return private_map_verdict(
+            equal_partition(ctx.num_cores, ctx.total_ways), ctx
         )
 
 

@@ -7,12 +7,14 @@ Rules 1-3 pair only neighbouring cores), moving two cache-hungry jobs
 apart can unlock way splits the fixed placement forbids.
 
 Reproduction here: a deterministic pairwise-swap hill climb over
-workload↔core placements.  Each candidate placement is scored by running
-the Bank-aware assignment on the permuted curves and taking
-:func:`~repro.partitioning.unrestricted.predicted_misses` as the
-objective — the same metric the Monte Carlo sweep uses, so rankings are
-comparable.  The search is first-improvement with a fixed scan order and
-a bounded pass count, hence fully deterministic.
+workload↔core placements.  One
+:class:`~repro.partitioning.bank_aware.BankAwarePlan` is built per search
+and decides every candidate placement; a candidate's objective is its
+:func:`~repro.partitioning.unrestricted.predicted_misses`, summed from the
+plan's padded curves in the same order — the same metric the Monte Carlo
+sweep uses, so rankings are comparable.  The search is first-improvement
+with a fixed scan order and a bounded pass count, hence fully
+deterministic.
 
 As an epoch policy the simulator cannot migrate jobs mid-run, so the
 optimal placement's way vector is mapped back through the permutation:
@@ -33,16 +35,14 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # runtime import stays local to schedule_mix
     from repro.workloads.mixes import Mix
 
-from repro.errors import ConfigError
-from repro.partitioning.allocation import vector_to_private_map
-from repro.partitioning.bank_aware import BankAwareDecision, bank_aware_partition
+from repro.partitioning.bank_aware import BankAwareDecision, BankAwarePlan
 from repro.partitioning.registry import (
     PartitionPolicy,
     PolicyContext,
     PolicyDecision,
+    private_map_verdict,
     register,
 )
-from repro.partitioning.unrestricted import predicted_misses
 from repro.profiling.miss_curve import MissCurve
 
 
@@ -84,22 +84,25 @@ def best_assignment(
     per core).  Strict improvement + fixed scan order = deterministic.
     """
     n = len(curves)
-    if n < 1:
-        raise ConfigError("need at least one core")
+    plan = BankAwarePlan(
+        curves,
+        num_banks=num_banks,
+        bank_ways=bank_ways,
+        max_ways_per_core=max_ways_per_core,
+        min_ways=min_ways,
+    )
+    values = plan.values
 
     def score(placement: list[int]) -> tuple[float, BankAwareDecision]:
-        placed = [curves[w] for w in placement]
-        decision = bank_aware_partition(
-            placed,
-            num_banks=num_banks,
-            bank_ways=bank_ways,
-            max_ways_per_core=max_ways_per_core,
-            min_ways=min_ways,
-        )
-        return predicted_misses(placed, list(decision.ways)), decision
+        decision = plan.decide(placement)
+        # predicted_misses of the placed curves: the same terms in core order
+        misses = sum([values[w][ways] for w, ways in zip(placement, decision.ways)])
+        return misses, decision
 
     placement = list(range(n))
     best, decision = score(placement)
+    # the best only falls, so a placement scored before cannot beat it
+    scored = {tuple(placement)}
     limit = n if max_passes is None else max_passes
     for _ in range(limit):
         improved = False
@@ -107,6 +110,10 @@ def best_assignment(
             for j in range(i + 1, n):
                 candidate = placement.copy()
                 candidate[i], candidate[j] = candidate[j], candidate[i]
+                key = tuple(candidate)
+                if key in scored:
+                    continue
+                scored.add(key)
                 misses, cand_decision = score(candidate)
                 if misses < best:
                     best, decision, placement = misses, cand_decision, candidate
@@ -165,13 +172,7 @@ class JointPolicy(PartitionPolicy):
             max_ways_per_core=ctx.max_ways_per_core,
             min_ways=ctx.min_ways,
         )
-        ways = list(assignment.ways_by_workload())
-        return PolicyDecision(
-            ways=tuple(ways),
-            pmap=vector_to_private_map(
-                ways, num_banks=ctx.num_banks, bank_ways=ctx.bank_ways
-            ),
-        )
+        return private_map_verdict(assignment.ways_by_workload(), ctx)
 
 
 register(JointPolicy())

@@ -22,12 +22,15 @@ Built-in policies:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from repro.cache.partition_map import PartitionMap
 from repro.errors import ConfigError
 from repro.partitioning.allocation import (
+    check_center_cover,
+    check_way_vector,
     decision_to_partition_map,
     vector_to_private_map,
 )
@@ -61,14 +64,44 @@ class PolicyContext:
 
 @dataclass(frozen=True)
 class PolicyDecision:
-    """One policy verdict: the per-core way vector, the materialised
+    """One policy verdict: the per-core way vector, how to build its
     physical map (``None`` for capacity-sharing policies), and — when the
     policy honours the Bank-aware rules — the structural decision the
-    guard/sanitizer can deep-check."""
+    guard/sanitizer can deep-check.
+
+    The map is built on the first read of :attr:`pmap` and cached, since
+    the analytic sweep ranks verdicts it never installs.  ``decide`` runs
+    the builders' checks on the vector or decision itself, so a bad
+    verdict still fails where it is made; equality ignores the builder.
+    """
 
     ways: tuple[int, ...]
-    pmap: PartitionMap | None = None
     bank_decision: BankAwareDecision | None = None
+    build_pmap: Callable[[], PartitionMap] | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    @cached_property
+    def pmap(self) -> PartitionMap | None:
+        """The physical map to install (``None``: the cache stays shared)."""
+        return None if self.build_pmap is None else self.build_pmap()
+
+
+def private_map_verdict(ways: Sequence[int], ctx: PolicyContext) -> PolicyDecision:
+    """A way-vector verdict laid out as contiguous private regions
+    (:func:`~repro.partitioning.allocation.vector_to_private_map`): the
+    vector is checked now, the map built on first read."""
+    ways = tuple(ways)
+    check_way_vector(ways, ctx.total_ways)
+    return PolicyDecision(
+        ways=ways,
+        build_pmap=partial(
+            vector_to_private_map,
+            ways,
+            num_banks=ctx.num_banks,
+            bank_ways=ctx.bank_ways,
+        ),
+    )
 
 
 class PartitionPolicy:
@@ -190,12 +223,8 @@ class EqualPartitionPolicy(PartitionPolicy):
     def decide(
         self, curves: Sequence[MissCurve], ctx: PolicyContext
     ) -> PolicyDecision:
-        ways = equal_partition(ctx.num_cores, ctx.total_ways)
-        return PolicyDecision(
-            ways=tuple(ways),
-            pmap=vector_to_private_map(
-                ways, num_banks=ctx.num_banks, bank_ways=ctx.bank_ways
-            ),
+        return private_map_verdict(
+            equal_partition(ctx.num_cores, ctx.total_ways), ctx
         )
 
 
@@ -217,10 +246,13 @@ class BankAwarePolicy(PartitionPolicy):
             max_ways_per_core=ctx.max_ways_per_core,
             min_ways=ctx.min_ways,
         )
+        check_center_cover(decision, len(decision.ways), ctx.num_banks)
         return PolicyDecision(
             ways=decision.ways,
-            pmap=decision_to_partition_map(decision, num_banks=ctx.num_banks),
             bank_decision=decision,
+            build_pmap=partial(
+                decision_to_partition_map, decision, num_banks=ctx.num_banks
+            ),
         )
 
 
@@ -244,12 +276,7 @@ class UnrestrictedPolicy(PartitionPolicy):
             min_ways=ctx.min_ways,
             max_ways_per_core=ctx.max_ways_per_core,
         )
-        return PolicyDecision(
-            ways=tuple(ways),
-            pmap=vector_to_private_map(
-                ways, num_banks=ctx.num_banks, bank_ways=ctx.bank_ways
-            ),
-        )
+        return private_map_verdict(ways, ctx)
 
 
 register(NoPartitionPolicy())
@@ -276,6 +303,7 @@ __all__ = [
     "analytic_policies",
     "get_policy",
     "policy_help",
+    "private_map_verdict",
     "register",
     "registered_policies",
 ]

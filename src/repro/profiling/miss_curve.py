@@ -16,6 +16,7 @@ the 1000-mix Monte Carlo harness (DESIGN.md section 10.5).
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -184,12 +185,26 @@ def save_curves(path: str | Path, curves: dict[str, MissCurve]) -> None:
 
 
 def load_curves(path: str | Path) -> dict[str, MissCurve]:
-    """Load curves written by :func:`save_curves`."""
+    """Load curves written by :func:`save_curves`.
+
+    A file that is not such an archive, or holds a malformed or invalid
+    curve, raises :class:`~repro.errors.ConfigError` naming ``path``.
+    """
+    invalid = f"{path}: not a valid curve file"
     out: dict[str, MissCurve] = {}
-    with np.load(path) as data:
-        names = [k.split(":", 1)[1] for k in data.files if k.startswith("misses:")]
-        for name in names:
-            out[name] = MissCurve(
-                name, data[f"misses:{name}"], float(data[f"total:{name}"][0])
-            )
+    try:
+        data = np.load(path)  # pickled objects stay refused
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{invalid}: not an .npz archive") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):  # a single .npy array
+        raise ConfigError(f"{invalid}: not an .npz archive")
+    try:
+        with data:
+            names = [k.split(":", 1)[1] for k in data.files if k.startswith("misses:")]
+            for name in names:
+                out[name] = MissCurve(
+                    name, data[f"misses:{name}"], float(data[f"total:{name}"][0])
+                )
+    except (ValueError, TypeError, KeyError, IndexError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{invalid}: {exc}") from exc
     return out

@@ -177,6 +177,15 @@ class TestCurveCaching:
         ) == 0
         assert "Bank-aware assignment" in capsys.readouterr().out
 
+    def test_partition_malformed_curve_file_is_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "curves.npz"
+        path.write_text("not an archive\n")
+        rc = main(["partition", "--set", "1", "--curves", str(path), "--scale", "32"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not a valid curve file")
+        assert len(err.strip().splitlines()) == 1
+
     def test_partition_missing_curves_rejected(self, tmp_path):
         from repro.profiling import save_curves
 

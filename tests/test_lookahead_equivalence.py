@@ -5,7 +5,9 @@ of Python floats, and the partitioners read those tables and plain tuples.
 This module keeps the NumPy lookahead as the oracle, plus copies of the
 partitioners as they were before the table (driven by that oracle), and
 checks that the fast code returns the same floats, the same tie-breaks
-and the same Python types.
+and the same Python types.  The same copies check the per-mix
+``BankAwarePlan`` that ``joint`` scores placements through, and the
+ranked Monte Carlo points built on it.
 """
 
 import pickle
@@ -15,12 +17,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.montecarlo import run_monte_carlo
+from repro.config import scaled_config
 from repro.errors import ConfigError, PartitionInvariantError
-from repro.partitioning.bank_aware import BankAwareDecision, bank_aware_partition
+from repro.partitioning.bank_aware import (
+    BankAwareDecision,
+    BankAwarePlan,
+    bank_aware_partition,
+)
 from repro.partitioning.joint import JointAssignment, best_assignment
+from repro.partitioning.registry import analytic_policies
+from repro.partitioning.static import equal_partition
 from repro.partitioning.unrestricted import unrestricted_partition
 from repro.profiling.miss_curve import MissCurve
-from tests.test_partitioning import curve_sets, knee_curve
+from repro.workloads.spec_like import ALL_NAMES
+from tests.test_partitioning import curve_sets, flat_curve, knee_curve
 
 # -- the oracle: the NumPy lookahead -----------------------------------------
 
@@ -203,10 +214,10 @@ def tie_heavy_curves(draw, min_k=1, max_k=127):
 
 
 @st.composite
-def tie_heavy_sets(draw, n=8):
-    """Eight cores drawn from a pool of at most three curves, so equal
-    bids across cores are common."""
-    pool = draw(st.lists(tie_heavy_curves(min_k=8, max_k=128), min_size=1, max_size=3))
+def tie_heavy_sets(draw, n=8, pool_size=3):
+    """Eight cores drawn from a pool of at most ``pool_size`` curves, so
+    equal bids across cores are common."""
+    pool = draw(st.lists(tie_heavy_curves(min_k=8, max_k=128), min_size=1, max_size=pool_size))
     return [draw(st.sampled_from(pool)) for _ in range(n)]
 
 
@@ -294,3 +305,103 @@ class TestPartitionersMatchReference:
         assert got.placement == want.placement
         assert got.decision == want.decision
         assert same_float(got.predicted, want.predicted)
+
+
+# -- the per-mix plan against the copies ---------------------------------------
+
+
+def all_swaps(n=8):
+    """The identity placement and every placement one swap away from it."""
+    yield list(range(n))
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            placement = list(range(n))
+            placement[i], placement[j] = j, i
+            yield placement
+
+
+def assert_plan_matches_reference(curves, **kwargs):
+    plan = BankAwarePlan(curves, **kwargs)
+    for placement in all_swaps(len(curves)):
+        placed = [curves[w] for w in placement]
+        assert plan.decide(placement) == reference_bank_aware(placed, **kwargs), placement
+    return plan
+
+
+class TestBankAwarePlan:
+    @given(
+        tie_heavy_sets(pool_size=8),
+        st.sampled_from([None, 16, 32, 72, 128]),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_matches_reference_on_repeating_mixes(self, curves, cap, min_ways):
+        kwargs = {"max_ways_per_core": cap, "min_ways": min_ways}
+        assert bank_aware_partition(curves, **kwargs) == reference_bank_aware(curves, **kwargs)
+        got = best_assignment(curves, **kwargs)
+        want = reference_best_assignment(curves, **kwargs)
+        assert got.placement == want.placement
+        assert got.decision == want.decision
+        assert same_float(got.predicted, want.predicted)
+
+    def test_ties_among_copies_follow_core_order(self):
+        # three copies of a hungry workload tie with one another only, and
+        # end with 4, 3 and 1 Center banks in core order wherever they sit
+        hungry = knee_curve(40, total=5000.0)
+        curves = [
+            hungry, knee_curve(3, 100.0), hungry, knee_curve(5, 300.0),
+            hungry, knee_curve(9, 50.0), knee_curve(2, 20.0), knee_curve(6, 70.0),
+        ]
+        plan = assert_plan_matches_reference(curves)
+        assert plan.decide(list(range(8))).center_banks == (4, 0, 3, 0, 1, 0, 0, 0)
+        assert plan.decide([1, 0, 3, 2, 4, 5, 6, 7]).center_banks == (0, 4, 0, 3, 1, 0, 0, 0)
+
+    def test_ties_between_different_curves_go_to_the_lower_core(self):
+        # seven Center banks go to four hungry cores; the last one is a tie
+        # between two curves that agree up to 16 ways and differ beyond, so
+        # whichever of them sits on the lower core wins it
+        a = knee_curve(40, total=800.0)
+        b = MissCurve("b", np.concatenate((a.misses[:17], np.full(112, a.misses[16] - 1.0))), 800.0)
+        curves = [
+            a, knee_curve(24, 5000.0), knee_curve(24, 6000.0), flat_curve(40.0),
+            b, knee_curve(24, 7000.0), knee_curve(16, 9000.0), flat_curve(30.0),
+        ]
+        plan = assert_plan_matches_reference(curves)
+        assert plan.decide(list(range(8))).center_banks[0] == 1
+        assert plan.decide([4, 1, 2, 3, 0, 5, 6, 7]).center_banks[0] == 1
+        assert plan.decide([4, 1, 2, 3, 0, 5, 6, 7]).center_banks[4] == 0
+
+
+class TestRankedSweepMatchesReference:
+    def test_points_equal_reference_projections(self):
+        cfg = scaled_config(32)
+        # nine distinct shapes over 26 workloads, so mixes repeat curves
+        curves = {
+            name: knee_curve(4 + 9 * (i % 9), total=100.0 * (1 + i % 9))
+            for i, name in enumerate(ALL_NAMES)
+        }
+        result = run_monte_carlo(12, cfg, curves=curves, seed=3, policies=analytic_policies())
+        cap, total = cfg.max_ways_per_core, cfg.l2.total_ways
+        for point in result.points:
+            mix = [curves[name] for name in point.mix.names]
+
+            def project(ways):
+                return sum(misses_at_oracle(c, w) for c, w in zip(mix, ways))
+
+            equal = project(equal_partition(8, total))
+            decision = reference_bank_aware(mix, max_ways_per_core=cap)
+            joint = reference_best_assignment(mix, max_ways_per_core=cap)
+            want = {
+                "equal-partitions": equal,
+                "bank-aware": project(decision.ways),
+                "unrestricted": project(reference_unrestricted(mix, total, max_ways_per_core=cap)),
+                "bank-bw": equal,
+                "joint": project(joint.ways_by_workload()),
+            }
+            assert list(point.policy_misses) == list(analytic_policies())
+            for name, misses in point.policy_misses.items():
+                assert same_float(misses, want[name]), name
+            assert same_float(point.equal_misses, equal)
+            assert same_float(point.unrestricted_misses, project(reference_unrestricted(mix, total)))
+            assert same_float(point.bank_aware_misses, want["bank-aware"])
+            assert point.bank_aware_ways == decision.ways

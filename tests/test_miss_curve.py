@@ -59,6 +59,42 @@ class TestConstruction:
         with pytest.raises(ConfigError, match="finite"):
             load_curves(path)
 
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "text",
+            "empty",
+            "truncated",
+            "no-total",
+            "empty-total",
+            "nested-total",
+            "single-array",
+        ],
+    )
+    def test_load_rejects_malformed_file(self, tmp_path, kind):
+        path = tmp_path / "curves.npz"
+        good = {"misses:c": np.array([10.0, 5.0]), "total:c": np.array([10.0])}
+        if kind == "text":
+            path.write_text("gzip 1 2 3\n")
+        elif kind == "empty":
+            path.write_bytes(b"")
+        elif kind == "truncated":
+            np.savez(path, **good)
+            path.write_bytes(path.read_bytes()[:40])
+        elif kind == "no-total":
+            np.savez(path, **{"misses:c": good["misses:c"]})
+        elif kind == "empty-total":
+            np.savez(path, **{"misses:c": good["misses:c"], "total:c": np.array([])})
+        elif kind == "nested-total":
+            total = np.array([[10.0, 10.0]])
+            np.savez(path, **{"misses:c": good["misses:c"], "total:c": total})
+        else:
+            with open(path, "wb") as handle:
+                np.save(handle, good["misses:c"])
+        with pytest.raises(ConfigError, match="not a valid curve file") as info:
+            load_curves(path)
+        assert str(path) in str(info.value)
+
     def test_rejects_negative_ways(self):
         with pytest.raises(ValueError):
             linear_curve().misses_at(-1)

@@ -29,7 +29,7 @@ from repro.errors import (
 )
 from repro.fabric.supervisor import Supervisor, resolve_jobs
 from repro.parallel.profile_cache import ProfileCache, default_cache_dir
-from repro.resilience.checkpoint import load_checkpoint
+from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
 from repro.sim.runner import RunSettings, run_sweep
 from repro.workloads.mixes import TABLE_III_SETS, Mix, random_mixes
 
@@ -352,6 +352,36 @@ class TestMonteCarloResultViews:
         bad.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(CheckpointCorrupt):
             MonteCarloResult.from_json(bad)
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            7,
+            {"mix": ["nope"], "equal": 1.0, "unrestricted": 1.0,
+             "bank_aware": 1.0, "ways": [128]},
+        ],
+        ids=["not-an-object", "unknown-workload"],
+    )
+    def test_malformed_point_is_checkpoint_corrupt(self, tmp_path, point):
+        good = MonteCarloPoint(Mix(("swim",)), 100.0, 10.0, 20.0, (128,)).to_dict()
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({
+            "format": MonteCarloResult.JSON_FORMAT,
+            "version": MonteCarloResult.JSON_VERSION,
+            "points": [good, point],
+        }))
+        with pytest.raises(CheckpointCorrupt, match="point #1 is malformed"):
+            MonteCarloResult.from_json(path)
+        ckpt = tmp_path / "mc.json"
+        meta = {
+            "seed": 5, "num_cores": CFG.num_cores, "num_banks": CFG.l2.num_banks,
+            "bank_ways": CFG.l2.bank_ways, "min_ways": 1,
+            "profile_accesses": 60_000,
+        }
+        save_checkpoint(str(ckpt), "monte-carlo", meta, [good, point])
+        with pytest.raises(CheckpointCorrupt, match="point #1 is malformed"):
+            run_monte_carlo(4, CFG, curves={}, seed=5,
+                            checkpoint_path=str(ckpt), resume=True)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import scaled_config
-from repro.errors import ConfigError
+from repro.errors import ConfigError, PartitionInvariantError
+from repro.partitioning import registry
+from repro.partitioning.allocation import (
+    decision_to_partition_map,
+    vector_to_private_map,
+)
+from repro.partitioning.bank_aware import BankAwareDecision
 from repro.partitioning.bank_bw import (
     WINDOWS_PER_EPOCH,
     BankBudgetRegulator,
@@ -29,9 +35,11 @@ from repro.partitioning.joint import best_assignment, schedule_mix
 from repro.partitioning.registry import (
     PartitionPolicy,
     PolicyContext,
+    PolicyDecision,
     analytic_policies,
     get_policy,
     policy_help,
+    private_map_verdict,
     register,
     registered_policies,
 )
@@ -160,6 +168,55 @@ class TestDecisionInvariants:
             a = get_policy(name).decide(curves, CTX)
             b = get_policy(name).decide(list(curves), CTX)
             assert a.ways == b.ways, name
+
+
+class TestLazyMaps:
+    @settings(max_examples=5, deadline=None)
+    @given(curves=curve_sets())
+    def test_map_is_built_once_and_matches_the_builders(self, curves):
+        for name in registered_policies():
+            policy = get_policy(name)
+            if policy.shares_cache:
+                continue
+            verdict = policy.decide(curves, CTX)
+            assert verdict.pmap is verdict.pmap, name
+            if verdict.bank_decision is not None:
+                want = decision_to_partition_map(
+                    verdict.bank_decision, num_banks=CTX.num_banks
+                )
+            else:
+                want = vector_to_private_map(
+                    list(verdict.ways), num_banks=CTX.num_banks,
+                    bank_ways=CTX.bank_ways,
+                )
+            assert verdict.pmap == want, name
+
+    def test_equality_ignores_the_builder(self):
+        ways = (16,) * 8
+        built = private_map_verdict(ways, CTX)
+        assert built == PolicyDecision(ways=ways)
+        assert built.pmap is not None and PolicyDecision(ways=ways).pmap is None
+
+    @pytest.mark.parametrize(
+        "ways, message",
+        [
+            ([8] * 8, "way vector sums to 64, machine has 128"),
+            ([0, 32] + [16] * 6, "every core needs at least one way"),
+            ([-1, 33] + [16] * 6, "every core needs at least one way"),
+        ],
+    )
+    def test_bad_vector_fails_inside_decide(self, monkeypatch, ways, message):
+        monkeypatch.setattr(registry, "unrestricted_partition", lambda *a, **k: ways)
+        with pytest.raises(PartitionInvariantError, match=message):
+            get_policy("unrestricted").decide([knee_curve(8)] * 8, CTX)
+
+    def test_decision_missing_center_banks_fails_inside_decide(self, monkeypatch):
+        short = BankAwareDecision(
+            ways=(16,) + (8,) * 7, center_banks=(1,) + (0,) * 7, pairs=()
+        )
+        monkeypatch.setattr(registry, "bank_aware_partition", lambda *a, **k: short)
+        with pytest.raises(PartitionInvariantError, match="cover every Center bank"):
+            get_policy("bank-aware").decide([knee_curve(8)] * 8, CTX)
 
 
 class TestJointSearch:
