@@ -50,9 +50,7 @@ def standalone_cpi(
     )
     specs = [spec] + [spec] * (cfg.num_cores - 1)
     traces = [trace] + [_empty_trace() for _ in range(cfg.num_cores - 1)]
-    system = CMPSystem(
-        cfg, specs, traces, scheme="no-partitions", profiler_kind="none"
-    )
+    system = CMPSystem(cfg, specs, traces, scheme="no-partitions")
     system.set_measurement_window(st.warmup_cycles, st.duration_cycles)
     result = system.run()
     return result.cores[0].cpi

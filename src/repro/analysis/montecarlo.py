@@ -150,16 +150,32 @@ class MonteCarloPoint:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MonteCarloPoint":
-        """Inverse of :meth:`to_dict` (floats round-trip exactly via JSON)."""
+        """Inverse of :meth:`to_dict` (floats round-trip exactly via JSON).
+
+        A wrongly typed field raises :class:`ConfigError` here, not a
+        ``TypeError`` later in the ratio arithmetic."""
+        misses = (data["equal"], data["unrestricted"], data["bank_aware"])
+        ways = tuple(data["ways"])
         policies = data.get("policies")
-        return cls(
-            Mix(tuple(data["mix"])),
-            data["equal"],
-            data["unrestricted"],
-            data["bank_aware"],
-            tuple(data["ways"]),
-            dict(policies) if policies is not None else None,
-        )
+        if policies is not None:
+            if not isinstance(policies, dict) or not all(
+                isinstance(name, str) and _is_number(value)
+                for name, value in policies.items()
+            ):
+                raise ConfigError(
+                    f"policies must map names to numbers, got {policies!r}"
+                )
+            policies = dict(policies)
+        if not all(map(_is_number, misses)):
+            raise ConfigError(f"misses must be numbers, got {misses!r}")
+        if not all(isinstance(w, int) and not isinstance(w, bool) for w in ways):
+            raise ConfigError(f"ways must hold integers, got {ways!r}")
+        return cls(Mix(tuple(data["mix"])), *misses, ways, policies)
+
+
+def _is_number(value: object) -> bool:
+    """A JSON number: ``bool`` subclasses ``int`` but is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _parse_points(items: list, source: str) -> list[MonteCarloPoint]:
@@ -303,10 +319,10 @@ def _montecarlo_point(mix: Mix) -> MonteCarloPoint:
     policies: tuple[str, ...] | None = _WORKER.get("policies")
     mix_curves = [curves[name] for name in mix.names]
     total_ways = cfg.l2.total_ways
-    equal = equal_partition(cfg.num_cores, total_ways)
+    equal = tuple(equal_partition(cfg.num_cores, total_ways))
     # the paper's Unrestricted field is uncapped, unlike the registry policy
-    unrestricted = unrestricted_partition(
-        mix_curves, total_ways, min_ways=min_ways
+    unrestricted = tuple(
+        unrestricted_partition(mix_curves, total_ways, min_ways=min_ways)
     )
     ctx = PolicyContext(
         num_cores=cfg.num_cores,
@@ -319,23 +335,25 @@ def _montecarlo_point(mix: Mix) -> MonteCarloPoint:
         name: get_policy(name).decide(mix_curves, ctx).ways
         for name in policies or ()
     }
-    projected = {
-        name: predicted_misses(mix_curves, list(w)) for name, w in ways.items()
-    }
     # the paper's Bank-aware field is the registry's verdict, decided once
     if "bank-aware" in ways:
         bank_aware = ways["bank-aware"]
-        bank_aware_misses = projected["bank-aware"]
     else:
         bank_aware = get_policy("bank-aware").decide(mix_curves, ctx).ways
-        bank_aware_misses = predicted_misses(mix_curves, list(bank_aware))
+    # the even split is the paper's Equal field and both the
+    # equal-partitions and bank-bw verdicts: project each distinct way
+    # vector once
+    vectors = (equal, unrestricted, bank_aware, *ways.values())
+    misses = {
+        w: predicted_misses(mix_curves, w) for w in dict.fromkeys(vectors)
+    }
     return MonteCarloPoint(
         mix,
-        predicted_misses(mix_curves, equal),
-        predicted_misses(mix_curves, unrestricted),
-        bank_aware_misses,
+        misses[equal],
+        misses[unrestricted],
+        misses[bank_aware],
         bank_aware,
-        projected if policies else None,
+        {name: misses[w] for name, w in ways.items()} if policies else None,
     )
 
 

@@ -216,6 +216,21 @@ def batched_depth_bins(
     return bins[prologue:], new_stacks
 
 
+def add_observations(counters: np.ndarray, bins: np.ndarray, mass: float) -> float:
+    """Count one observation per entry of ``bins`` into ``counters``, and
+    return the mass ledger ``mass`` grown by as many, bit-identically to
+    the per-access loop's ``+= 1`` steps.
+
+    Both sums add 1.0 at a time, in order: once ``decay`` has given the
+    float64 counters long mantissas, one rounded ``+= k`` (say, of a
+    ``bincount``) can differ from ``k`` rounded unit steps in the last bit.
+    """
+    np.add.at(counters, bins, 1.0)
+    steps = np.ones(bins.size + 1)
+    steps[0] = mass
+    return float(np.add.accumulate(steps)[-1])
+
+
 def batch_eligible(lines: object, minimum: int = MIN_BATCH) -> bool:
     """Whether ``lines`` can take the batched path bit-identically.
 

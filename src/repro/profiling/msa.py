@@ -18,7 +18,11 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.profiling.batched import batch_eligible, batched_depth_bins
+from repro.profiling.batched import (
+    add_observations,
+    batch_eligible,
+    batched_depth_bins,
+)
 from repro.util.bits import is_pow2
 
 from repro.errors import ConfigError
@@ -95,8 +99,7 @@ class MSAProfiler:
         bins, self._stacks = batched_depth_bins(
             a, a & self._set_mask, self.num_sets, self.positions, self._stacks
         )
-        self._counters += np.bincount(bins, minlength=self.positions + 1)
-        self._mass += float(a.size)
+        self._mass = add_observations(self._counters, bins, self._mass)
 
     # -- histogram queries ---------------------------------------------------
 

@@ -23,6 +23,8 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.profiling.batched import (
+    MIN_BATCH,
+    add_observations,
     batch_eligible,
     batched_depth_bins,
     hash_fold_many,
@@ -100,11 +102,15 @@ class SampledMSAProfiler:
         ``None`` (the access bypasses the profiler entirely)."""
         if not self.is_sampled(line):
             return None
-        self.observed += 1
         # dense index over the sampled sets (index % sampling == offset)
-        sampled_id = self.set_index(line) // self.set_sampling
+        return self._update(
+            self.set_index(line) // self.set_sampling, self.partial_tag(line)
+        )
+
+    def _update(self, sampled_id: int, tag: int) -> int:
+        """The MSA stack step for one sampled reference; returns its depth."""
+        self.observed += 1
         stack = self._stacks[sampled_id]
-        tag = self.partial_tag(line)
         try:
             depth = stack.index(tag) + 1
         except ValueError:
@@ -119,25 +125,36 @@ class SampledMSAProfiler:
         return depth
 
     def observe_many(self, lines: Iterable[int]) -> None:
-        """Observe many line numbers; see
-        :meth:`repro.profiling.msa.MSAProfiler.observe_many` for the batch
-        dispatch rules (bit-identical to the per-access reference)."""
-        if batch_eligible(lines):
-            self._observe_batch(lines)
-        else:
+        """Observe many line numbers, bit-identically to
+        :meth:`observe_many_reference`.
+
+        A non-negative integer ndarray has its sampled lines picked out in
+        one pass, as the hardware profiles only sampled sets.  With
+        ``MIN_BATCH`` or more of them the vectorised kernel runs; fewer
+        take the per-reference stack step directly.  Anything else falls
+        back to the reference loop.
+        """
+        if not batch_eligible(lines, 1):
             self.observe_many_reference(lines)
+            return
+        groups, tags = self._sampled(lines)
+        if groups.size >= MIN_BATCH:
+            self._observe_batch(groups, tags)
+        else:
+            for sampled_id, tag in zip(groups.tolist(), tags.tolist()):
+                self._update(sampled_id, tag)
 
     def observe_many_reference(self, lines: Iterable[int]) -> None:
         """The checked per-access reference for :meth:`observe_many`."""
         for line in lines:
             self.observe(int(line))
 
-    def _observe_batch(self, lines: np.ndarray) -> None:
+    def _sampled(self, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Dense sampled-set ids and partial tags of the sampled lines, in
+        order (vectorised :meth:`is_sampled` and :meth:`partial_tag`;
+        ``sample_mask < num_sets``, so the mask needs no set index)."""
         a = lines.astype(np.int64, copy=False)
-        sets = a & self._set_mask
-        sub = a[(sets & self._sample_mask) == self.sample_offset]
-        if sub.size == 0:
-            return
+        sub = a[(a & self._sample_mask) == self.sample_offset]
         groups = (sub & self._set_mask) // self.set_sampling
         set_bits = self.num_sets.bit_length() - 1
         tags = sub >> set_bits
@@ -145,6 +162,9 @@ class SampledMSAProfiler:
             tags &= (1 << self.partial_tag_bits) - 1
         else:
             tags = hash_fold_many(tags, self.partial_tag_bits)
+        return groups, tags
+
+    def _observe_batch(self, groups: np.ndarray, tags: np.ndarray) -> None:
         # partial tags collide across sets; fold the group id into the key
         # so the kernel's equal-key-implies-equal-group contract holds
         bits = self.partial_tag_bits
@@ -158,9 +178,8 @@ class SampledMSAProfiler:
         )
         mask = (1 << bits) - 1
         self._stacks = [[key & mask for key in st] for st in new_stacks]
-        self._counters += np.bincount(bins, minlength=self.positions + 1)
-        self.observed += int(sub.size)
-        self._mass += float(sub.size)
+        self._mass = add_observations(self._counters, bins, self._mass)
+        self.observed += int(groups.size)
 
     # -- scaled histogram queries -------------------------------------------
 

@@ -107,7 +107,13 @@ class CMPSystem:
             CoreTimer(c, config.core, nonmem_cpi=s.nonmem_cpi, mlp=s.mlp)
             for c, s in enumerate(self.specs)
         ]
-        self.profilers = self._build_profilers(profiler_kind)
+        # only policies that read miss curves pay for profiling, as in the
+        # modelled hardware; static schemes keep none
+        self.profilers = (
+            self._build_profilers(profiler_kind)
+            if policy.needs_profilers
+            else None
+        )
         self.controller: EpochController | None = None
         self.sanitizer: ReproSanitizer | None = (
             ReproSanitizer()

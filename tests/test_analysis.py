@@ -12,9 +12,13 @@ from repro.analysis.experiments import (
     table2_rows,
     table3_assignments,
 )
+from repro.analysis import montecarlo
 from repro.analysis.montecarlo import collect_profiles, run_monte_carlo
 from repro.analysis.report import format_series, format_table, miss_curve_rows
 from repro.config import scaled_config
+from repro.partitioning.registry import analytic_policies
+from repro.partitioning.static import equal_partition
+from repro.workloads.mixes import random_mixes
 
 CFG = scaled_config(16)  # 128-set banks: fast but representative
 
@@ -54,6 +58,28 @@ class TestMonteCarlo:
         mc = run_monte_carlo(10, CFG, curves=curves, seed=4)
         for p in mc.points:
             assert sum(p.bank_aware_ways) == CFG.l2.total_ways
+
+    def test_ranked_point_projects_each_way_vector_once(
+        self, curves, monkeypatch
+    ):
+        """The even split is the Equal field and both the
+        equal-partitions and bank-bw verdicts: one projection serves all."""
+        projected = []
+        project = montecarlo.predicted_misses
+
+        def spy(mix_curves, ways):
+            projected.append(tuple(ways))
+            return project(mix_curves, ways)
+
+        monkeypatch.setattr(montecarlo, "_WORKER", {})
+        monkeypatch.setattr(montecarlo, "predicted_misses", spy)
+        montecarlo._montecarlo_init(curves, CFG, 1, analytic_policies())
+        mix = random_mixes(1, CFG.num_cores, seed=7)[0]
+        point = montecarlo._montecarlo_point(mix)
+        even = tuple(equal_partition(CFG.num_cores, CFG.l2.total_ways))
+        assert projected.count(even) == 1
+        assert len(projected) == len(set(projected))
+        assert point.policy_misses["bank-bw"] == point.equal_misses
 
     def test_reduction_exists_on_average(self, curves):
         """Partitioning by marginal utility must beat even shares overall

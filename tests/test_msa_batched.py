@@ -32,6 +32,19 @@ def assert_profiler_equal(vec, ref):
     assert vec._stacks == ref._stacks
 
 
+def spy_kernel(monkeypatch, profiler):
+    """Record the size of every batch ``profiler`` sends to the kernel."""
+    sizes = []
+    kernel = profiler._observe_batch
+
+    def spy(first, *rest):
+        sizes.append(len(first))
+        return kernel(first, *rest)
+
+    monkeypatch.setattr(profiler, "_observe_batch", spy)
+    return sizes
+
+
 # ---------------------------------------------------------------------------
 # hypothesis property: batch path == reference on random traces
 # ---------------------------------------------------------------------------
@@ -75,7 +88,7 @@ class TestPropertyEquivalence:
         vec = SampledMSAProfiler(4, 5, **kwargs)
         ref = SampledMSAProfiler(4, 5, **kwargs)
         if lines.size:
-            vec._observe_batch(lines)
+            vec._observe_batch(*vec._sampled(lines))
         ref.observe_many_reference(lines)
         assert_profiler_equal(vec, ref)
         assert vec.observed == ref.observed
@@ -141,6 +154,111 @@ class TestDispatchEquivalence:
         p = MSAProfiler(64, 16)
         p.observe_many(lines)
         assert p.total_accesses == p.expected_mass == 5_000
+
+
+# ---------------------------------------------------------------------------
+# exact counting once the counters are decayed
+# ---------------------------------------------------------------------------
+
+
+def exact_profiler():
+    return MSAProfiler(256, 72)
+
+
+def sampled_profiler():
+    return SampledMSAProfiler(256, 72, set_sampling=2, partial_tag_bits=12)
+
+
+PROFILERS = pytest.mark.parametrize(
+    "make", [exact_profiler, sampled_profiler], ids=["exact", "sampled"]
+)
+
+
+class TestDecayedCounting:
+    """The kernel adds one observation at a time, as the reference loop
+    does: decayed float64 counters carry long mantissas, and there one
+    rounded ``+= k`` can differ from ``k`` rounded ``+= 1.0`` steps."""
+
+    @PROFILERS
+    def test_rounding_tie(self, make, monkeypatch):
+        # (2**52 - 0.5) + 1.0 rounds half-to-even down to 2**52, and unit
+        # steps are exact from there; one (2**52 - 0.5) + n with n even
+        # rounds half-to-even up to 2**52 + n instead
+        n = MIN_BATCH + MIN_BATCH % 2
+        lines = np.arange(n, dtype=np.int64) * 256  # set 0, all cold misses
+        vec, ref = make(), make()
+        for p in (vec, ref):
+            p._counters[-1] = p._mass = 2.0**52 - 0.5
+        sizes = spy_kernel(monkeypatch, vec)
+        vec.observe_many(lines)
+        ref.observe_many_reference(lines)
+        assert sizes == [n]
+        assert vec._counters[-1] == vec._mass == 2.0**52 + n - 1
+        assert_profiler_equal(vec, ref)
+
+    @PROFILERS
+    def test_decayed_batches_match_reference(self, make, monkeypatch):
+        """The epoch controller's ``decay(0.75)`` after every batch: with a
+        ``bincount`` tally the kernel's counters left the reference's at
+        batch 37 (sampled) or 41 (exact) of this trace."""
+        batch = 2_600
+        lines = generate_trace(get("mcf"), 120_000, 256, seed=5).lines
+        vec, ref = make(), make()
+        sizes = spy_kernel(monkeypatch, vec)
+        for start in range(0, 42 * batch, batch):
+            vec.observe_many(lines[start:start + batch])
+            ref.observe_many_reference(lines[start:start + batch])
+            assert_profiler_equal(vec, ref)
+            vec.decay(0.75)
+            ref.decay(0.75)
+        assert len(sizes) == 42  # every batch took the kernel
+
+
+# ---------------------------------------------------------------------------
+# the sampled profiler's dispatch on its sampled count
+# ---------------------------------------------------------------------------
+
+
+class TestSampledDispatch:
+    """``observe_many`` picks the sampled lines out first and runs the
+    kernel only on ``MIN_BATCH`` or more of them; fewer take the
+    per-reference stack step.  Both must equal the reference loop."""
+
+    @pytest.fixture(scope="class")
+    def mcf_lines(self):
+        return generate_trace(get("mcf"), 12_000, 64, seed=9).lines
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    @pytest.mark.parametrize("tag_mode", ["truncate", "fold"])
+    @pytest.mark.parametrize("offset", [0, 1, 2, 3])
+    @pytest.mark.parametrize("count", [MIN_BATCH - 1, MIN_BATCH])
+    def test_matches_reference(self, mcf_lines, count, offset, tag_mode,
+                               dtype, monkeypatch):
+        kwargs = dict(set_sampling=4, partial_tag_bits=6,
+                      sample_offset=offset, tag_mode=tag_mode)
+        vec = SampledMSAProfiler(64, 16, **kwargs)
+        ref = SampledMSAProfiler(64, 16, **kwargs)
+        lines = mcf_lines.astype(dtype)
+        sampled = np.flatnonzero((lines & 3) == offset)
+        warm = lines[:sampled[99] + 1]  # 100 sampled: carried-in stacks
+        rest = lines[warm.size:]
+        cut = np.flatnonzero((rest & 3) == offset)[count - 1] + 1
+        for p in (vec, ref):
+            p.observe_many_reference(warm)
+            p.decay(0.75)
+        sizes = spy_kernel(monkeypatch, vec)
+        vec.observe_many(rest[:cut])
+        ref.observe_many_reference(rest[:cut])
+        assert sizes == ([count] if count >= MIN_BATCH else [])
+        assert_profiler_equal(vec, ref)
+        assert vec.observed == ref.observed == 100 + count
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_empty_array_is_a_no_op(self, dtype):
+        p = SampledMSAProfiler(64, 16, set_sampling=4)
+        p.observe_many(np.empty(0, dtype=dtype))
+        assert p.observed == 0 and p.expected_mass == 0.0
+        assert not p._counters.any()
 
 
 # ---------------------------------------------------------------------------

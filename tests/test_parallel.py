@@ -359,8 +359,15 @@ class TestMonteCarloResultViews:
             7,
             {"mix": ["nope"], "equal": 1.0, "unrestricted": 1.0,
              "bank_aware": 1.0, "ways": [128]},
+            {"mix": ["swim"], "equal": "100", "unrestricted": 1.0,
+             "bank_aware": 1.0, "ways": [128]},
+            {"mix": ["swim"], "equal": 1.0, "unrestricted": 1.0,
+             "bank_aware": 1.0, "ways": [128.5]},
+            {"mix": ["swim"], "equal": 1.0, "unrestricted": 1.0,
+             "bank_aware": 1.0, "ways": [128], "policies": {"joint": True}},
         ],
-        ids=["not-an-object", "unknown-workload"],
+        ids=["not-an-object", "unknown-workload", "string-field",
+             "non-integer-ways", "non-numeric-policy"],
     )
     def test_malformed_point_is_checkpoint_corrupt(self, tmp_path, point):
         good = MonteCarloPoint(Mix(("swim",)), 100.0, 10.0, 20.0, (128,)).to_dict()

@@ -19,6 +19,8 @@ import pytest
 from repro.cache.nuca import NucaStats
 from repro.config import scaled_config
 from repro.errors import ConfigError
+from repro.profiling.batched import MIN_BATCH
+from repro.profiling.sampled import SampledMSAProfiler
 from repro.sim.runner import RunSettings, build_system, run_mix
 from repro.sim.system import SIM_BACKENDS
 from repro.workloads import TABLE_III_SETS, Mix
@@ -51,6 +53,17 @@ class TestBackendSelection:
 
     def test_backends_exported(self):
         assert SIM_BACKENDS == ("reference", "batched")
+
+    def test_static_schemes_keep_no_profilers(self):
+        for scheme in ("no-partitions", "equal-partitions"):
+            for backend in SIM_BACKENDS:
+                st = RunSettings(duration_cycles=100_000.0, sim_backend=backend)
+                assert build_system(MIX, scheme, CFG, st).profilers is None
+        with pytest.raises(ConfigError, match="profiler_kind"):
+            build_system(
+                MIX, "no-partitions", CFG,
+                RunSettings(duration_cycles=100_000.0, profiler_kind="bogus"),
+            )
 
 
 class TestSchemeMatrix:
@@ -92,6 +105,47 @@ class TestSchemeMatrix:
             sanitize=True, trace=True,
         )
         assert_identical(ref, batched)
+
+
+class TestSampledFlushes:
+    """At scale 8 the profilers sample 1 set in 4 (at scale 32, every
+    set), so a batched flush carries unsampled lines and its sampled count
+    picks the per-reference step or the kernel."""
+
+    @pytest.mark.parametrize("scheme", ["bank-aware", "bank-bw"])
+    @pytest.mark.parametrize("epoch_cycles,duration,warmup,kernel", [
+        (25_000, 150_000.0, 0.5, False),  # every flush under MIN_BATCH
+        (250_000, 300_000.0, 0.0, True),  # the first tick's flush is not
+    ], ids=["short-epochs", "long-first-epoch"])
+    def test_identical_on_the_targeted_path(
+        self, scheme, epoch_cycles, duration, warmup, kernel, monkeypatch
+    ):
+        flushes, batches = [], []
+        observe_many = SampledMSAProfiler.observe_many
+        observe_batch = SampledMSAProfiler._observe_batch
+
+        def many_spy(self, lines):
+            flushes.append(len(lines))
+            return observe_many(self, lines)
+
+        def batch_spy(self, groups, tags):
+            batches.append(len(groups))
+            return observe_batch(self, groups, tags)
+
+        monkeypatch.setattr(SampledMSAProfiler, "observe_many", many_spy)
+        monkeypatch.setattr(SampledMSAProfiler, "_observe_batch", batch_spy)
+        cfg = scaled_config(8, epoch_cycles=epoch_cycles)
+        assert cfg.profiler.set_sampling == 4
+        ref, batched = run_pair(
+            scheme, mix=TABLE_III_SETS[6], cfg=cfg, duration_cycles=duration,
+            seed=7, warmup_fraction=warmup, trace=True,
+        )
+        assert_identical(ref, batched)
+        assert flushes  # only the batched engine flushes
+        if kernel:
+            assert batches and min(batches) >= MIN_BATCH
+        else:
+            assert batches == []
 
 
 class TestWindowBoundaries:
