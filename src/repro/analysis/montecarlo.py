@@ -282,7 +282,7 @@ class MonteCarloResult:
         """Inverse of :meth:`to_json`."""
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CheckpointCorrupt(f"{path}: not valid JSON: {exc}") from exc
         if (
             not isinstance(payload, dict)

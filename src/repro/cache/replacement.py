@@ -195,5 +195,10 @@ def make_policy(name: str, ways: int) -> ReplacementPolicy:
     try:
         cls = POLICIES[name]
     except KeyError:
-        raise KeyError(f"unknown replacement policy {name!r}") from None
+        # mapping-protocol contract: make_policy mirrors dict lookup and
+        # tests/callers rely on KeyError; ConfigError subclasses ValueError
+        # and cannot also subclass KeyError
+        raise KeyError(  # repro-lint: disable=ERR001
+            f"unknown replacement policy {name!r}"
+        ) from None
     return cls(ways)

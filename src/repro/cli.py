@@ -59,30 +59,12 @@ from repro.analysis import (
 )
 from repro.config import SystemConfig, scaled_config
 from repro.lint import (
-    LintConfig,
-    LintResult,
     lint_paths,
     load_config,
     render_json,
     render_rules,
-    render_sarif,
     render_text,
 )
-from repro.lint.engine import iter_python_files
-from repro.lint.xmod import analyze_files
-from repro.lint.xmod.baseline import (
-    apply_baseline,
-    find_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.xmod.cache import (
-    DEFAULT_CACHE_PATH,
-    load_cached,
-    store as store_cache,
-    tree_key,
-)
-from repro.lint.xmod.engine import XMOD_ANALYZER_VERSION
 from repro.obs import (
     DEFAULT_STORE,
     RunStore,
@@ -563,69 +545,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lint_xmod_result(
-    args: argparse.Namespace, config: LintConfig
-) -> LintResult:
-    """Run (or replay from cache) the whole-program pass."""
-    files = iter_python_files(args.paths, config)
-    cache_path = Path(args.cache_path)
-    key = None
-    if not args.no_cache:
-        key = tree_key(files, config, XMOD_ANALYZER_VERSION)
-        cached = load_cached(cache_path, key)
-        if cached is not None:
-            print(
-                f"xmod: cache hit ({len(files)} files unchanged)",
-                file=sys.stderr,
-            )
-            return cached
-    result = analyze_files(files, config)
-    if key is not None:
-        store_cache(cache_path, key, result)
-    return result
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(render_rules())
         return 0
     config = load_config(Path(args.config) if args.config else None)
-    if args.xmod:
-        result = _lint_xmod_result(args, config)
-        baseline_path = (
-            Path(args.baseline) if args.baseline else find_baseline()
-        )
-        if args.update_baseline:
-            target = baseline_path or Path("lint-baseline.json")
-            previous = (
-                load_baseline(target) if target.is_file() else []
-            )
-            count = write_baseline(
-                list(result.findings), target, previous
-            )
-            print(f"baseline: wrote {count} entr(y/ies) to {target}")
-            return 0
-        if baseline_path is not None:
-            outcome = apply_baseline(
-                list(result.findings), load_baseline(baseline_path)
-            )
-            for entry in outcome.stale:
-                print(
-                    f"stale baseline entry: {entry.rule} at {entry.path} "
-                    f"matched nothing — remove it from {baseline_path}",
-                    file=sys.stderr,
-                )
-            result = LintResult(
-                findings=tuple(
-                    sorted([*outcome.new, *outcome.baselined])
-                ),
-                files_checked=result.files_checked,
-            )
-    else:
-        result = lint_paths(args.paths, config)
-    if args.sarif:
-        Path(args.sarif).write_text(render_sarif(result), encoding="utf-8")
-        print(f"sarif report: {args.sarif}", file=sys.stderr)
+    result = lint_paths(args.paths, config)
     if args.format == "json":
         print(render_json(result))
     else:
@@ -980,8 +905,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="domain-aware static analysis (determinism, float equality, "
-             "partition invariants, API hygiene)",
+        help="domain-aware static analysis: eleven per-file and "
+             "whole-program rules in one pass (determinism, float "
+             "equality, partition invariants, API hygiene, process "
+             "safety, telemetry schema, error taxonomy)",
     )
     p.add_argument("paths", nargs="*", default=["src"], metavar="PATH",
                    help="files or directories to check (default: src)")
@@ -990,26 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit pyproject.toml (default: walk up from cwd)")
     p.add_argument("--list-rules", action="store_true",
                    help="describe every rule and exit")
-    p.add_argument("--xmod", action="store_true",
-                   help="run the whole-program cross-module pass "
-                        "(PAR001/PAR002/DET003/TEL001/ERR001) instead of "
-                        "the per-file rules")
-    p.add_argument("--baseline", metavar="JSON",
-                   help="baseline file for --xmod ratcheting (default: "
-                        "nearest lint-baseline.json above cwd); baselined "
-                        "findings warn, new findings fail")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline to cover the current "
-                        "findings (carries existing reasons over) and exit")
-    p.add_argument("--sarif", metavar="PATH",
-                   help="additionally write a SARIF 2.1.0 report for "
-                        "GitHub code scanning")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the --xmod findings cache")
-    p.add_argument("--cache-path", metavar="PATH",
-                   default=str(DEFAULT_CACHE_PATH),
-                   help="--xmod findings cache location "
-                        "(default: %(default)s)")
     p.set_defaults(fn=cmd_lint)
 
     return parser

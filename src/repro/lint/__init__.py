@@ -1,9 +1,13 @@
 """Domain-aware static analysis for the reproduction (``repro lint``).
 
-A self-contained, stdlib-``ast`` rule engine that machine-checks the
-invariants the paper states but Python cannot enforce: seeded randomness
-only (DET001), no wall clock in the simulator (DET002), no float equality
-(FP001), guarded partition construction (INV001) and API hygiene (API001).
+A self-contained, stdlib-``ast`` engine that machine-checks the invariants
+the paper states but Python cannot enforce.  One pass parses each file once
+and runs eleven rules: six per-file ones — seeded randomness only (DET001),
+no wall clock in the simulator (DET002), no float equality (FP001),
+guarded partition construction (INV001), API hygiene (API001), no silently
+swallowed broad exceptions (RES002) — and five whole-program ones over
+the same parsed tree (PAR001, PAR002, DET003, TEL001, ERR001; see
+:mod:`repro.lint.xmod`).
 
 Typical use::
 
@@ -22,23 +26,13 @@ from repro.lint.config import (
     find_pyproject,
     load_config,
 )
-from repro.lint.engine import (
-    PARSE_RULE,
-    collect_suppressions,
-    lint_paths,
-    lint_source,
-)
+from repro.lint.engine import PARSE_RULE, lint_paths, lint_source
 from repro.lint.findings import JSON_SCHEMA_VERSION, Finding, LintResult
 from repro.lint.report import render_json, render_rules, render_text
 from repro.lint.rules import RULES, FileContext, Rule
-from repro.lint.sarif import render_sarif, to_sarif
-from repro.lint.xmod import XMOD_RULES, analyze_paths
+from repro.lint.xmod.symbols import collect_suppressions
 
 __all__ = [
-    "XMOD_RULES",
-    "analyze_paths",
-    "render_sarif",
-    "to_sarif",
     "Finding",
     "FileContext",
     "JSON_SCHEMA_VERSION",

@@ -8,14 +8,9 @@ this repository's layout:
 
     [tool.repro-lint]
     exclude = ["tests", "_bootstrap"]        # path fragments to skip
-    select = []                              # only these rule ids ([] = all)
-    ignore = []                              # rule ids to drop entirely
-
-    [tool.repro-lint.severity]               # per-rule severity overrides
-    API001 = "advice"
 
     [tool.repro-lint.rules]                  # rule-specific path scoping
-    det001-allow = ["repro/util/rng.py"]
+    det001-allow = ["repro/util/rng.py"]     # raw RNG (DET001 and DET003)
     det002-paths = ["repro/sim/", "repro/cache/", "repro/partitioning/"]
     det002-allow = ["repro/telemetry/timing.py"]  # clock chokepoints
     inv001-allow = ["repro/partitioning/", "repro/resilience/guard.py",
@@ -26,7 +21,9 @@ this repository's layout:
 Path scoping uses *posix fragment containment*: a file matches a fragment
 when the fragment occurs in its ``/``-joined path as given on the command
 line (e.g. ``repro/sim/`` matches ``src/repro/sim/controller.py``).  That
-keeps the config independent of where the tree is checked out.
+keeps the config independent of where the tree is checked out.  An unknown
+key, at the top level or in the ``rules`` table, is an error: a misspelt
+key must not silently leave a rule at its default scope.
 
 Parsing uses :mod:`tomllib` (Python >= 3.11).  On 3.10, where tomllib does
 not exist, the engine silently falls back to the built-in defaults — the
@@ -35,7 +32,7 @@ rules still run, only project overrides are unavailable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 try:  # Python >= 3.11
@@ -43,7 +40,6 @@ try:  # Python >= 3.11
 except ImportError:  # pragma: no cover - 3.10 fallback, defaults only
     tomllib = None  # type: ignore[assignment]
 
-from repro.lint.findings import SEVERITIES
 from repro.errors import ReproError
 
 #: directories never worth descending into.
@@ -65,10 +61,7 @@ class LintConfig:
     """Engine configuration (built-in defaults unless overridden)."""
 
     exclude: tuple[str, ...] = DEFAULT_EXCLUDE
-    select: tuple[str, ...] = ()
-    ignore: tuple[str, ...] = ()
-    severity: dict[str, str] = field(default_factory=dict)
-    #: files allowed to use raw RNG constructors (DET001).
+    #: files allowed to construct raw random streams (DET001, DET003).
     det001_allow: tuple[str, ...] = ("repro/util/rng.py",)
     #: deterministic subsystems where wall-clock reads are forbidden (DET002).
     det002_paths: tuple[str, ...] = (
@@ -89,37 +82,17 @@ class LintConfig:
     api001_annotation_paths: tuple[str, ...] = ("src/",)
     #: paths where swallow-only broad except handlers are forbidden (RES002).
     res002_paths: tuple[str, ...] = ("repro/",)
-    #: files allowed to construct raw numpy generators (DET003, xmod).
-    det003_allow: tuple[str, ...] = ("repro/util/rng.py",)
-    #: ``module:prefix`` specs naming the CLI roots ERR001 traces from.
-    err001_entrypoints: tuple[str, ...] = ("repro.cli:cmd_",)
-    #: the taxonomy base every CLI-reachable raise must derive from.
-    err001_base: str = "repro.errors.ReproError"
-    #: attribute-call names treated as worker submissions (PAR001/PAR002).
-    xmod_submit_methods: tuple[str, ...] = ("map_ordered",)
-    #: module whose EVENT_SCHEMAS/COMMON_FIELDS TEL001 checks against.
-    tel001_events_module: str = "repro.telemetry.events"
-
-    def __post_init__(self) -> None:
-        for rule_id, severity in self.severity.items():
-            if severity not in SEVERITIES:
-                raise LintConfigError(
-                    f"severity override for {rule_id} must be one of "
-                    f"{SEVERITIES}, got {severity!r}"
-                )
-
-    def rule_enabled(self, rule_id: str) -> bool:
-        if rule_id in self.ignore:
-            return False
-        return not self.select or rule_id in self.select
-
-    def severity_of(self, rule_id: str, default: str) -> str:
-        return self.severity.get(rule_id, default)
 
 
-def _str_tuple(section: dict, key: str, where: str) -> tuple[str, ...] | None:
-    if key not in section:
-        return None
+#: ``[tool.repro-lint.rules]`` key -> field (``det001-allow`` -> det001_allow).
+_RULE_KEYS = {
+    f.name.replace("_", "-"): f.name
+    for f in fields(LintConfig)
+    if f.name != "exclude"
+}
+
+
+def _str_tuple(section: dict, key: str, where: str) -> tuple[str, ...]:
     value = section[key]
     if not isinstance(value, list) or not all(
         isinstance(v, str) for v in value
@@ -130,55 +103,28 @@ def _str_tuple(section: dict, key: str, where: str) -> tuple[str, ...] | None:
 
 def config_from_mapping(data: dict) -> LintConfig:
     """Build a :class:`LintConfig` from a parsed ``[tool.repro-lint]`` table."""
-    cfg = LintConfig()
-    updates: dict[str, object] = {}
-    for toml_key, attr in (
-        ("exclude", "exclude"),
-        ("select", "select"),
-        ("ignore", "ignore"),
-    ):
-        value = _str_tuple(data, toml_key, "tool.repro-lint")
-        if value is not None:
-            updates[attr] = value
-    severity = data.get("severity", {})
-    if not isinstance(severity, dict):
-        raise LintConfigError("tool.repro-lint.severity must be a table")
-    if severity:
-        updates["severity"] = dict(severity)
-    rules = data.get("rules", {})
-    if not isinstance(rules, dict):
-        raise LintConfigError("tool.repro-lint.rules must be a table")
-    for toml_key, attr in (
-        ("det001-allow", "det001_allow"),
-        ("det002-paths", "det002_paths"),
-        ("det002-allow", "det002_allow"),
-        ("inv001-allow", "inv001_allow"),
-        ("api001-annotation-paths", "api001_annotation_paths"),
-        ("res002-paths", "res002_paths"),
-        ("det003-allow", "det003_allow"),
-        ("err001-entrypoints", "err001_entrypoints"),
-        ("xmod-submit-methods", "xmod_submit_methods"),
-    ):
-        value = _str_tuple(rules, toml_key, "tool.repro-lint.rules")
-        if value is not None:
-            updates[attr] = value
-    for toml_key, attr in (
-        ("err001-base", "err001_base"),
-        ("tel001-events-module", "tel001_events_module"),
-    ):
-        if toml_key in rules:
-            value = rules[toml_key]
-            if not isinstance(value, str):
-                raise LintConfigError(
-                    f"tool.repro-lint.rules.{toml_key} must be a string"
-                )
-            updates[attr] = value
-    unknown = set(data) - {"exclude", "select", "ignore", "severity", "rules"}
+    unknown = set(data) - {"exclude", "rules"}
     if unknown:
         raise LintConfigError(
             f"unknown tool.repro-lint keys: {sorted(unknown)}"
         )
-    return replace(cfg, **updates) if updates else cfg
+    updates: dict[str, tuple[str, ...]] = {}
+    if "exclude" in data:
+        updates["exclude"] = _str_tuple(data, "exclude", "tool.repro-lint")
+    rules = data.get("rules", {})
+    if not isinstance(rules, dict):
+        raise LintConfigError("tool.repro-lint.rules must be a table")
+    unknown = set(rules) - set(_RULE_KEYS)
+    if unknown:
+        raise LintConfigError(
+            f"unknown tool.repro-lint.rules keys: {sorted(unknown)} "
+            f"(known: {sorted(_RULE_KEYS)})"
+        )
+    for key in rules:
+        updates[_RULE_KEYS[key]] = _str_tuple(
+            rules, key, "tool.repro-lint.rules"
+        )
+    return replace(LintConfig(), **updates)
 
 
 def find_pyproject(start: Path | None = None) -> Path | None:

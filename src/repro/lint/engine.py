@@ -1,6 +1,9 @@
-"""The lint engine: file discovery, suppression handling, rule dispatch.
+"""The lint engine: one pass over the files, every rule, one filter.
 
-Suppressions are inline comments on the flagged line::
+:func:`lint_paths` reads, parses and tokenizes each file once
+(:meth:`~repro.lint.xmod.symbols.Project.load`), runs the per-file rules
+on each module's tree and the whole-program rules over the same loaded
+project, and filters every finding through the inline suppressions::
 
     rng = np.random.default_rng()  # repro-lint: disable=DET001
     x = compute()                  # repro-lint: disable=FP001,API001
@@ -14,89 +17,60 @@ exclude the file in ``[tool.repro-lint]`` instead if it truly is exempt.
 
 from __future__ import annotations
 
-import ast
-import io
-import re
-import tokenize
 from pathlib import Path
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, LintResult
 from repro.lint.rules import RULES, FileContext
+from repro.lint.xmod.callgraph import build_call_graph
+from repro.lint.xmod.rules import XmodContext
+from repro.lint.xmod.symbols import Project
 
 #: rule id reserved for files the engine cannot parse.
 PARSE_RULE = "PARSE001"
 
-_SUPPRESS_RE = re.compile(
-    r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+|all)\s*$"
-)
 
-
-def collect_suppressions(source: str) -> dict[int, set[str]]:
-    """Map line number -> rule ids disabled on that line (``{'all'}`` for a
-    blanket line suppression)."""
-    suppressions: dict[int, set[str]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            match = _SUPPRESS_RE.search(token.string)
-            if match is None:
-                continue
-            ids = {part.strip() for part in match.group(1).split(",")}
-            suppressions.setdefault(token.start[0], set()).update(
-                i for i in ids if i
+def _check(
+    project: Project, config: LintConfig, *, whole_program: bool
+) -> list[Finding]:
+    """Every rule's findings over ``project``, suppressions applied."""
+    hits = []  # (rule, path, line, column, message)
+    for info in project.modules.values():
+        ctx = FileContext(info.path, config, info.nodes)
+        for rule in RULES.values():
+            if not rule.whole_program:
+                for hit in rule.check(info.tree, ctx):
+                    hits.append((rule, info.path, *hit))
+    if whole_program:
+        xctx = XmodContext(project, build_call_graph(project), config)
+        for rule in RULES.values():
+            if rule.whole_program:
+                hits.extend((rule, *hit) for hit in rule.check(xctx))
+    # a set: one callable flowing into several submission sites yields the
+    # same finding once per site, and it is reported once
+    findings = {
+        Finding(path, line, column, PARSE_RULE, "error",
+                f"file does not parse: {message}")
+        for path, line, column, message in project.parse_failures
+    }
+    suppressions = {
+        info.path: info.suppressions for info in project.modules.values()
+    }
+    for rule, path, line, column, message in hits:
+        active = suppressions[path].get(line, ())
+        if rule.id not in active and "all" not in active:
+            findings.add(
+                Finding(path, line, column, rule.id, rule.severity, message)
             )
-    except tokenize.TokenError:
-        # Unterminated constructs: the ast parse will report the real error.
-        pass
-    return suppressions
-
-
-def _suppressed(
-    finding_line: int, rule_id: str, suppressions: dict[int, set[str]]
-) -> bool:
-    active = suppressions.get(finding_line, ())
-    return rule_id in active or "all" in active
+    return sorted(findings)
 
 
 def lint_source(source: str, path: str, config: LintConfig) -> list[Finding]:
-    """Lint one already-read source blob (the unit the tests target)."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path=path,
-                line=exc.lineno or 1,
-                column=(exc.offset or 1) - 1,
-                rule=PARSE_RULE,
-                severity="error",
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
-    suppressions = collect_suppressions(source)
-    ctx = FileContext(path=path, config=config)
-    findings: list[Finding] = []
-    for rule in RULES.values():
-        if not config.rule_enabled(rule.id):
-            continue
-        severity = config.severity_of(rule.id, rule.default_severity)
-        for line, column, message in rule.check(tree, ctx):
-            if _suppressed(line, rule.id, suppressions):
-                continue
-            findings.append(
-                Finding(
-                    path=path,
-                    line=line,
-                    column=column,
-                    rule=rule.id,
-                    severity=severity,
-                    message=message,
-                )
-            )
-    return sorted(findings)
+    """Run the per-file rules over one source blob (the unit the tests
+    target); the whole-program rules need :func:`lint_paths`."""
+    project = Project()
+    project.add(path, source, Path(path).stem)
+    return _check(project, config, whole_program=False)
 
 
 def _excluded(path: Path, exclude: tuple[str, ...]) -> bool:
@@ -146,13 +120,9 @@ def iter_python_files(
 
 
 def lint_paths(paths: list[str], config: LintConfig) -> LintResult:
-    """Lint every Python file under ``paths`` (files or directories)."""
-    findings: list[Finding] = []
+    """Lint every Python file under ``paths`` (files or directories) with
+    all rules, per-file and whole-program, in one pass."""
     files = iter_python_files(paths, config)
-    for path in files:
-        findings.extend(
-            lint_source(
-                path.read_text(encoding="utf-8"), path.as_posix(), config
-            )
-        )
-    return LintResult(findings=tuple(sorted(findings)), files_checked=len(files))
+    findings = _check(Project.load(files), config, whole_program=True)
+    return LintResult(findings=tuple(findings), files_checked=len(files))
+

@@ -9,8 +9,9 @@ deliberately minimal:
 * ``advice`` — style/API guidance worth surfacing but not worth breaking a
   build over.  Reported, never fatal.
 
-Rules declare a default severity; ``[tool.repro-lint.severity]`` in
-pyproject.toml can promote or demote individual rules per project.
+Each rule declares its severity; every rule in the catalogue is an
+``error`` today, and the JSON report keeps the ``advice`` count so its
+schema stays stable.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ import json
 
 from repro.lint.findings import JSON_SCHEMA_VERSION, LintResult
 from repro.lint.rules import RULES
-from repro.lint.xmod.rules import XMOD_RULES
 
 
 def render_text(result: LintResult) -> str:
@@ -48,14 +47,10 @@ def render_json(result: LintResult) -> str:
 
 
 def render_rules() -> str:
-    """The ``--list-rules`` catalogue (per-file, then cross-module)."""
+    """The ``--list-rules`` catalogue: all eleven rules."""
     lines = []
     for rule in RULES.values():
-        lines.append(f"{rule.id} [{rule.default_severity}] {rule.title}")
-        lines.append(f"    {rule.rationale}")
-    for rule in XMOD_RULES.values():
-        lines.append(
-            f"{rule.id} [{rule.default_severity}] [xmod] {rule.title}"
-        )
+        scope = " [whole-program]" if rule.whole_program else ""
+        lines.append(f"{rule.id} [{rule.severity}]{scope} {rule.title}")
         lines.append(f"    {rule.rationale}")
     return "\n".join(lines)

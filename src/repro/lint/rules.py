@@ -1,7 +1,9 @@
-"""The domain-invariant rule catalogue of ``repro lint``.
+"""The rule registry of ``repro lint`` and its six per-file rules.
 
-Each rule encodes an invariant the paper (or this reproduction's
-architecture) depends on but Python cannot enforce by itself:
+``RULES`` holds all eleven rules.  The per-file ones, defined here, each
+encode an invariant the paper (or this reproduction's architecture)
+depends on but Python cannot enforce by itself; the five whole-program
+rules register from :mod:`repro.lint.xmod.rules`.
 
 * **DET001 — seeded randomness only.**  Every stochastic component must
   draw from :func:`repro.util.rng.rng_stream`; raw ``random`` /
@@ -25,8 +27,9 @@ architecture) depends on but Python cannot enforce by itself:
   ``pass``/``...`` hides worker crashes from the fail-fast sweep fabric;
   failures must be wrapped, re-raised, or at least logged.
 
-A rule is a pure function ``(tree, ctx) -> iterator of (line, col, msg)``;
-the engine attaches severities, applies suppressions and sorts.
+A per-file rule is a pure function ``(tree, ctx) -> iterator of (line,
+col, msg)``; the engine attaches severities, applies suppressions and
+sorts.
 """
 
 from __future__ import annotations
@@ -38,15 +41,17 @@ from dataclasses import dataclass
 from repro.lint.config import LintConfig
 
 RawFinding = tuple[int, int, str]
-CheckFn = Callable[[ast.Module, "FileContext"], Iterator[RawFinding]]
 
 
 @dataclass(frozen=True)
 class FileContext:
-    """Everything a rule may consult about the file being linted."""
+    """Everything a per-file rule may consult about the file being linted."""
 
     path: str  #: posix-joined path exactly as passed on the command line
     config: LintConfig
+    #: every node of the file's tree in ``ast.walk`` order, walked once and
+    #: shared by all rules.
+    nodes: list[ast.AST]
 
     def matches(self, fragments: tuple[str, ...]) -> bool:
         """Fragment-containment path scoping (see :mod:`repro.lint.config`)."""
@@ -55,23 +60,36 @@ class FileContext:
 
 @dataclass(frozen=True)
 class Rule:
-    """One registered rule: identity, default severity, and its checker."""
+    """One registered rule: identity, severity, and its checker.
+
+    A per-file rule's ``check`` takes ``(tree, FileContext)`` and yields
+    ``(line, col, message)``; a whole-program rule's takes the
+    :class:`~repro.lint.xmod.rules.XmodContext` and yields ``(path, line,
+    col, message)``.
+    """
 
     id: str
     title: str
-    default_severity: str
+    severity: str
     rationale: str
-    check: CheckFn
+    check: Callable
+    whole_program: bool = False
 
 
 RULES: dict[str, Rule] = {}
 
 
-def _register(
-    rule_id: str, title: str, severity: str, rationale: str
-) -> Callable[[CheckFn], CheckFn]:
-    def wrap(fn: CheckFn) -> CheckFn:
-        RULES[rule_id] = Rule(rule_id, title, severity, rationale, fn)
+def register(
+    rule_id: str,
+    title: str,
+    severity: str,
+    rationale: str,
+    whole_program: bool = False,
+) -> Callable[[Callable], Callable]:
+    def wrap(fn: Callable) -> Callable:
+        RULES[rule_id] = Rule(
+            rule_id, title, severity, rationale, fn, whole_program
+        )
         return fn
 
     return wrap
@@ -97,7 +115,7 @@ def _is_np_random(node: ast.expr) -> bool:
     )
 
 
-@_register(
+@register(
     "DET001",
     "unseeded randomness outside util/rng.py",
     "error",
@@ -107,7 +125,7 @@ def _is_np_random(node: ast.expr) -> bool:
 def _det001(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
     if ctx.matches(ctx.config.det001_allow):
         return
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name in _RNG_MODULES or alias.name.startswith(
@@ -151,7 +169,7 @@ _WALL_CLOCK_ATTRS = {
 }
 
 
-@_register(
+@register(
     "DET002",
     "wall-clock read inside the deterministic simulator",
     "error",
@@ -163,7 +181,7 @@ def _det002(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
         return
     if ctx.matches(ctx.config.det002_allow):
         return  # configured clock chokepoint (e.g. telemetry/timing.py)
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name in ("time", "datetime"):
@@ -216,7 +234,7 @@ def _is_float_expr(node: ast.expr) -> bool:
     )
 
 
-@_register(
+@register(
     "FP001",
     "equality comparison between float-typed expressions",
     "error",
@@ -225,7 +243,7 @@ def _is_float_expr(node: ast.expr) -> bool:
     "underlying integer counters",
 )
 def _fp001(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Compare):
             continue
         operands = [node.left, *node.comparators]
@@ -246,7 +264,7 @@ def _fp001(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
 # -- INV001 ------------------------------------------------------------------
 
 
-@_register(
+@register(
     "INV001",
     "direct PartitionMap construction outside the partitioning layer",
     "error",
@@ -257,7 +275,7 @@ def _fp001(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
 def _inv001(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
     if ctx.matches(ctx.config.inv001_allow):
         return
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -319,7 +337,7 @@ def _unannotated(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
     return missing
 
 
-@_register(
+@register(
     "API001",
     "API hygiene: mutable defaults, bare except, unannotated public API",
     "error",
@@ -328,7 +346,7 @@ def _unannotated(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
     "typed",
 )
 def _api001(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             defaults = [*node.args.defaults, *node.args.kw_defaults]
             for default in defaults:
@@ -408,7 +426,7 @@ def _swallows_silently(handler: ast.ExceptHandler) -> bool:
     return True
 
 
-@_register(
+@register(
     "RES002",
     "broad exception swallowed silently",
     "error",
@@ -419,7 +437,7 @@ def _swallows_silently(handler: ast.ExceptHandler) -> bool:
 def _res002(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
     if not ctx.matches(ctx.config.res002_paths):
         return
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.ExceptHandler):
             continue
         if _is_broad_catch(node) and _swallows_silently(node):

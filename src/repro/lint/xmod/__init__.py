@@ -1,47 +1,13 @@
-"""``repro.lint.xmod`` — whole-program cross-module analysis.
+"""``repro.lint.xmod`` — the whole-program layers of ``repro lint``.
 
-Layers (each usable on its own):
-
-* :mod:`~repro.lint.xmod.symbols` — parse the tree once; import/symbol
+* :mod:`~repro.lint.xmod.symbols` — parse every file once; import/symbol
   resolution (:class:`~repro.lint.xmod.symbols.Project`);
 * :mod:`~repro.lint.xmod.callgraph` — approximate call graph over the
   project's function units;
 * :mod:`~repro.lint.xmod.dataflow` — shared per-function facts (mutable
   globals, submission sites, mutation sites);
-* :mod:`~repro.lint.xmod.rules` — PAR001/PAR002/DET003/TEL001/ERR001;
-* :mod:`~repro.lint.xmod.engine` — orchestration into
-  :class:`~repro.lint.findings.LintResult`;
-* :mod:`~repro.lint.xmod.baseline` / :mod:`~repro.lint.xmod.cache` —
-  ratcheting adoption and incremental-run support.
+* :mod:`~repro.lint.xmod.rules` — PAR001/PAR002/DET003/TEL001/ERR001.
+
+:mod:`repro.lint.engine` runs these rules and the per-file ones in one
+pass over one loaded :class:`~repro.lint.xmod.symbols.Project`.
 """
-
-from repro.lint.xmod.baseline import (
-    apply_baseline,
-    find_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.xmod.callgraph import CallGraph, build_call_graph
-from repro.lint.xmod.engine import (
-    XMOD_ANALYZER_VERSION,
-    analyze_files,
-    analyze_paths,
-    analyze_project,
-)
-from repro.lint.xmod.rules import XMOD_RULES
-from repro.lint.xmod.symbols import Project
-
-__all__ = [
-    "CallGraph",
-    "Project",
-    "XMOD_ANALYZER_VERSION",
-    "XMOD_RULES",
-    "analyze_files",
-    "analyze_paths",
-    "analyze_project",
-    "apply_baseline",
-    "build_call_graph",
-    "find_baseline",
-    "load_baseline",
-    "write_baseline",
-]

@@ -29,7 +29,7 @@ MUTATING_METHODS = frozenset({
 
 #: method names at which a callable + work items are handed to a process
 #: fan-out (the supervisor's ``map_ordered``).
-DEFAULT_SUBMIT_METHODS = ("map_ordered",)
+SUBMIT_METHODS = ("map_ordered",)
 
 
 def is_mutable_literal(node: ast.expr) -> bool:
@@ -134,23 +134,18 @@ class SubmissionSite:
     """One hand-off of a callable to a process fan-out API."""
 
     call: ast.Call
-    method: str  #: a configured submit method, e.g. map_ordered
+    method: str  #: one of SUBMIT_METHODS, e.g. map_ordered
     #: the expression in the callable slot (first positional / ``fn=``).
     fn_expr: ast.expr | None
-    #: items expression (second positional), when present.
-    items_expr: ast.expr | None = None
     #: the enclosing unit the site was found in.
-    unit: FunctionUnit | None = None
+    unit: FunctionUnit
 
 
-def submission_sites(
-    unit: FunctionUnit,
-    submit_methods: tuple[str, ...] = DEFAULT_SUBMIT_METHODS,
-) -> list[SubmissionSite]:
+def submission_sites(unit: FunctionUnit) -> list[SubmissionSite]:
     """Worker-submission call sites inside one unit.
 
     A site is any call whose callee is an attribute named in
-    ``submit_methods`` (``supervisor.map_ordered(fn, items)``) — receiver
+    ``SUBMIT_METHODS`` (``supervisor.map_ordered(fn, items)``) — receiver
     type is not checked, which can over-match foreign methods of the same
     name; those are suppressed inline.
     """
@@ -160,47 +155,27 @@ def submission_sites(
             continue
         func = node.func
         if not (
-            isinstance(func, ast.Attribute) and func.attr in submit_methods
+            isinstance(func, ast.Attribute) and func.attr in SUBMIT_METHODS
         ):
             continue
         fn_expr = node.args[0] if node.args else None
         for keyword in node.keywords:
             if keyword.arg == "fn":
                 fn_expr = keyword.value
-        items_expr = node.args[1] if len(node.args) > 1 else None
-        sites.append(SubmissionSite(
-            call=node, method=func.attr, fn_expr=fn_expr,
-            items_expr=items_expr, unit=unit,
-        ))
+        sites.append(SubmissionSite(node, func.attr, fn_expr, unit))
     return sites
 
 
-@dataclass
-class InitializerSite:
-    """An ``initializer=``/``initargs=`` pair handed to an executor-like
-    constructor (the Supervisor, a raw pool)."""
-
-    call: ast.Call
-    initializer: ast.expr | None = None
-    initargs: ast.expr | None = None
-    unit: FunctionUnit | None = None
-
-
-def initializer_sites(unit: FunctionUnit) -> list[InitializerSite]:
-    """Calls in ``unit`` that carry ``initializer=`` or ``initargs=``."""
-    sites: list[InitializerSite] = []
-    for node in _own_nodes(unit.node):
-        if not isinstance(node, ast.Call):
-            continue
-        site = InitializerSite(call=node, unit=unit)
-        for keyword in node.keywords:
-            if keyword.arg == "initializer":
-                site.initializer = keyword.value
-            elif keyword.arg == "initargs":
-                site.initargs = keyword.value
-        if site.initializer is not None or site.initargs is not None:
-            sites.append(site)
-    return sites
+def initargs_exprs(unit: FunctionUnit) -> list[ast.expr]:
+    """The ``initargs=`` values of calls in ``unit`` (what an executor-like
+    constructor, the Supervisor or a raw pool, ships to every worker)."""
+    return [
+        keyword.value
+        for node in _own_nodes(unit.node)
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+        if keyword.arg == "initargs"
+    ]
 
 
 @dataclass
@@ -210,8 +185,7 @@ class MutationSite:
     name: str
     line: int
     column: int
-    how: str  #: 'global-assign' / 'subscript' / 'attribute' / 'augment' / 'method'
-    detail: str = ""
+    detail: str  #: what the write does, for the finding's message
 
 
 def _base_name(expr: ast.expr) -> str | None:
@@ -240,7 +214,7 @@ def nonlocal_mutations(
             # only reachable for names declared ``global``/``nonlocal``
             if hit(node.id):
                 out.append(MutationSite(
-                    node.id, node.lineno, node.col_offset, "global-assign",
+                    node.id, node.lineno, node.col_offset,
                     "rebinds the module-level name",
                 ))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -252,19 +226,15 @@ def nonlocal_mutations(
                 if isinstance(target, (ast.Subscript, ast.Attribute)):
                     name = _base_name(target)
                     if hit(name):
-                        how = (
-                            "subscript" if isinstance(target, ast.Subscript)
-                            else "attribute"
-                        )
                         out.append(MutationSite(
-                            name, target.lineno, target.col_offset, how,
+                            name, target.lineno, target.col_offset,
                             "writes into the shared object",
                         ))
         elif isinstance(node, ast.AugAssign):
             name = _base_name(node.target)
             if hit(name):
                 out.append(MutationSite(
-                    name, node.lineno, node.col_offset, "augment",
+                    name, node.lineno, node.col_offset,
                     "augments shared state in place",
                 ))
         elif isinstance(node, ast.Call) and isinstance(
@@ -273,7 +243,7 @@ def nonlocal_mutations(
             name = _base_name(node.func.value)
             if hit(name):
                 out.append(MutationSite(
-                    name, node.lineno, node.col_offset, "method",
+                    name, node.lineno, node.col_offset,
                     f".{node.func.attr}() mutates the shared object",
                 ))
         elif isinstance(node, ast.Delete):
@@ -284,21 +254,20 @@ def nonlocal_mutations(
                 )
                 if hit(name):
                     out.append(MutationSite(
-                        name, node.lineno, node.col_offset, "global-assign",
+                        name, node.lineno, node.col_offset,
                         "deletes shared state",
                     ))
     return sorted(out, key=lambda m: (m.line, m.column))
 
 
 __all__ = [
-    "DEFAULT_SUBMIT_METHODS",
-    "InitializerSite",
     "MUTABLE_FACTORIES",
     "MUTATING_METHODS",
     "MutationSite",
+    "SUBMIT_METHODS",
     "SubmissionSite",
     "assignment_origins",
-    "initializer_sites",
+    "initargs_exprs",
     "is_mutable_literal",
     "local_bindings",
     "module_mutable_globals",

@@ -1,10 +1,10 @@
-"""The cross-module rule catalogue of ``repro lint --xmod``.
+"""The five whole-program rules of ``repro lint``.
 
-Each rule enforces a contract the per-file engine cannot see because it
+Each rule enforces a contract the per-file rules cannot see because it
 spans modules:
 
 * **PAR001 — submitted callables must pickle.**  A callable handed to
-  ``map_ordered`` (the configured submit methods) must resolve to a
+  ``map_ordered`` (the Supervisor's one fan-out) must resolve to a
   module-level function: lambdas and nested defs capture state that either
   fails to pickle (pool backends) or silently diverges between the serial
   and parallel paths.
@@ -28,19 +28,20 @@ spans modules:
   family the CLI already handles), so users get clean error exits instead
   of tracebacks.
 
-A rule is a function ``(ctx) -> iterator of RawXFinding``; the xmod engine
-attaches severities, applies the per-line suppressions of the per-file
-engine, then the baseline.
+A whole-program rule is a function ``(ctx) -> iterator of RawXFinding``;
+the engine attaches severities and applies the same per-line suppressions
+as for the per-file rules.
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.lint.config import LintConfig
+from repro.lint.rules import register
 from repro.lint.xmod.callgraph import (
     CallGraph,
     FunctionUnit,
@@ -49,7 +50,7 @@ from repro.lint.xmod.callgraph import (
 )
 from repro.lint.xmod.dataflow import (
     assignment_origins,
-    initializer_sites,
+    initargs_exprs,
     module_mutable_globals,
     nonlocal_mutations,
     submission_sites,
@@ -71,6 +72,16 @@ RAW_RNG_QUALNAMES = frozenset({
     "numpy.random.SeedSequence",
     "numpy.random.seed",
 })
+
+#: ERR001 traces raises from every function of this module named ``cmd_*``.
+CLI_MODULE = "repro.cli"
+CLI_HANDLER_PREFIX = "cmd_"
+
+#: the taxonomy base every CLI-reachable raise must derive from (ERR001).
+ERR001_BASE = "repro.errors.ReproError"
+
+#: the module whose EVENT_SCHEMAS/COMMON_FIELDS TEL001 checks against.
+EVENTS_MODULE = "repro.telemetry.events"
 
 #: raises that are *not* ReproError but are already handled cleanly by the
 #: CLI boundary (argparse exits, OS errors, interpreter control flow).
@@ -104,42 +115,37 @@ class XmodContext:
             self._sites = [
                 site
                 for unit in self.graph.units.values()
-                for site in submission_sites(
-                    unit, self.config.xmod_submit_methods
-                )
+                for site in submission_sites(unit)
             ]
         return self._sites
 
     def worker_roots(self) -> set[str]:
         """Unit ids of every resolvable worker-mapped callable."""
         if self._worker_roots is None:
-            roots: set[str] = set()
-            for site in self.all_submission_sites():
-                for unit_id in self._resolve_site_callables(site):
-                    roots.add(unit_id)
-            self._worker_roots = roots
+            self._worker_roots = {
+                unit_id
+                for site in self.all_submission_sites()
+                if site.fn_expr is not None
+                for atom in self.callable_atoms(site.unit, site.fn_expr)
+                for unit_id in self.atom_units(site.unit, atom)
+            }
         return self._worker_roots
 
-    def _resolve_site_callables(self, site) -> list[str]:
-        """Unit ids the callable slot of a submission site may denote,
-        chasing one level of local assignment (``fn = a if c else b``)."""
-        if site.fn_expr is None or site.unit is None:
-            return []
-        out: list[str] = []
-        for atom in self._callable_atoms(site.unit, site.fn_expr):
-            resolved = resolve_callable(self.graph, site.unit, atom)
-            if not resolved and isinstance(atom, ast.Name):
-                # nested def of the submitting unit itself
-                local_id = f"{site.unit.unit_id}.<locals>.{atom.id}"
-                if local_id in self.graph.units:
-                    resolved = [local_id]
-            out.extend(resolved)
-        return out
+    def atom_units(self, unit: FunctionUnit, atom: ast.expr) -> list[str]:
+        """Unit ids one callable expression may denote.  A bare name the
+        symbol table cannot see may still be a nested def of ``unit``."""
+        resolved = resolve_callable(self.graph, unit, atom)
+        if not resolved and isinstance(atom, ast.Name):
+            local_id = f"{unit.unit_id}.<locals>.{atom.id}"
+            if local_id in self.graph.units:
+                resolved = [local_id]
+        return resolved
 
-    def _callable_atoms(
+    def callable_atoms(
         self, unit: FunctionUnit, expr: ast.expr
     ) -> list[ast.expr]:
-        """Flatten conditionals and follow single-name local assignments."""
+        """Flatten conditionals and follow single-name local assignments
+        (``fn = a if c else b``)."""
         atoms: list[ast.expr] = []
         origins = assignment_origins(unit.node)
         seen: set[str] = set()
@@ -161,52 +167,24 @@ class XmodContext:
         return atoms
 
 
-@dataclass(frozen=True)
-class XmodRule:
-    """One registered cross-module rule."""
-
-    id: str
-    title: str
-    default_severity: str
-    rationale: str
-    check: Callable[[XmodContext], Iterator[RawXFinding]]
-
-
-XMOD_RULES: dict[str, XmodRule] = {}
-
-
-def _register(
-    rule_id: str, title: str, severity: str, rationale: str
-) -> Callable:
-    def wrap(fn: Callable) -> Callable:
-        XMOD_RULES[rule_id] = XmodRule(rule_id, title, severity, rationale, fn)
-        return fn
-
-    return wrap
-
-
-def _unit_path(ctx: XmodContext, unit: FunctionUnit) -> str:
-    return ctx.project.modules[unit.module].path
-
-
 # -- PAR001 ------------------------------------------------------------------
 
 
-@_register(
+@register(
     "PAR001",
     "non-module-level callable submitted to a process fan-out",
     "error",
     "callables handed to Supervisor.map_ordered must be "
     "module-level functions: lambdas and nested defs capture state that "
     "fails to pickle or silently diverges between serial and parallel runs",
+    whole_program=True,
 )
 def _par001(ctx: XmodContext) -> Iterator[RawXFinding]:
     for site in ctx.all_submission_sites():
-        unit = site.unit
-        path = _unit_path(ctx, unit)
-        for atom in ctx._callable_atoms(unit, site.fn_expr or site.call.func):
-            if site.fn_expr is None:
-                break
+        if site.fn_expr is None:
+            continue
+        path = ctx.project.modules[site.unit.module].path
+        for atom in ctx.callable_atoms(site.unit, site.fn_expr):
             if isinstance(atom, ast.Lambda):
                 yield (
                     path, atom.lineno, atom.col_offset,
@@ -214,16 +192,8 @@ def _par001(ctx: XmodContext) -> Iterator[RawXFinding]:
                     "picklable module-level function",
                 )
                 continue
-            if not isinstance(atom, (ast.Name, ast.Attribute)):
-                continue  # call results etc.: unknown, stay silent
-            resolved = resolve_callable(ctx.graph, unit, atom)
-            if not resolved and isinstance(atom, ast.Name):
-                # a function-local name the symbol table cannot see: it may
-                # still be a nested def of this very unit
-                local_id = f"{unit.unit_id}.<locals>.{atom.id}"
-                if local_id in ctx.graph.units:
-                    resolved = [local_id]
-            for unit_id in resolved:
+            # call results etc. resolve to no unit: unknown, stay silent
+            for unit_id in ctx.atom_units(site.unit, atom):
                 callee = ctx.graph.units[unit_id]
                 if callee.parent is not None:
                     yield (
@@ -238,7 +208,7 @@ def _par001(ctx: XmodContext) -> Iterator[RawXFinding]:
 # -- PAR002 ------------------------------------------------------------------
 
 
-@_register(
+@register(
     "PAR002",
     "module-level mutable global written on a worker-reachable path",
     "error",
@@ -246,6 +216,7 @@ def _par001(ctx: XmodContext) -> Iterator[RawXFinding]:
     "module-level container races against determinism: each pool process "
     "mutates its own copy in scheduling order, so state diverges from the "
     "serial run",
+    whole_program=True,
 )
 def _par002(ctx: XmodContext) -> Iterator[RawXFinding]:
     reachable = ctx.graph.reachable(ctx.worker_roots())
@@ -288,21 +259,22 @@ def _generator_locals(
     return out
 
 
-@_register(
+@register(
     "DET003",
     "numpy Generator without rng_stream provenance (or shared across a fan-out)",
     "error",
     "every Generator must be created through repro.util.rng.rng_stream "
     "(keyed, replayable) and derived per work item: one Generator object "
     "flowing into a parallel fan-out draws in scheduling order",
+    whole_program=True,
 )
 def _det003(ctx: XmodContext) -> Iterator[RawXFinding]:
-    allow = ctx.config.det003_allow
+    allow = ctx.config.det001_allow
     # (a) raw generator construction, resolved through import aliases
     for module_name, info in ctx.project.modules.items():
         if any(fragment in info.path for fragment in allow):
             continue
-        for node in ast.walk(info.tree):
+        for node in info.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = ctx.project.resolve_expr(module_name, node.func)
@@ -320,14 +292,12 @@ def _det003(ctx: XmodContext) -> Iterator[RawXFinding]:
             continue
         info = ctx.project.modules[unit.module]
 
-        def name_hits(expr: ast.expr | None):
-            if expr is None:
-                return
+        def name_hits(expr: ast.expr):
             for node in ast.walk(expr):
                 if isinstance(node, ast.Name) and node.id in rng_locals:
                     yield node
 
-        for site in submission_sites(unit, ctx.config.xmod_submit_methods):
+        for site in submission_sites(unit):
             for arg in [*site.call.args, *[k.value for k in site.call.keywords]]:
                 for hit in name_hits(arg):
                     yield (
@@ -338,8 +308,8 @@ def _det003(ctx: XmodContext) -> Iterator[RawXFinding]:
                         "derive a per-item stream with rng_stream(seed, key) "
                         "inside the worker",
                     )
-        for init_site in initializer_sites(unit):
-            for hit in name_hits(init_site.initargs):
+        for initargs in initargs_exprs(unit):
+            for hit in name_hits(initargs):
                 yield (
                     info.path, hit.lineno, hit.col_offset,
                     f"Generator {hit.id!r} shipped via initargs: every "
@@ -413,7 +383,7 @@ def extract_event_schemas(
     return schemas, common
 
 
-@_register(
+@register(
     "TEL001",
     "telemetry emission drifts from the declared event schema",
     "error",
@@ -421,16 +391,15 @@ def extract_event_schemas(
     "type, an unknown field, or a missing required field only fails at "
     "runtime when that emitting path happens to execute — CI should not "
     "have to wait for it",
+    whole_program=True,
 )
 def _tel001(ctx: XmodContext) -> Iterator[RawXFinding]:
-    extracted = extract_event_schemas(
-        ctx.project, ctx.config.tel001_events_module
-    )
+    extracted = extract_event_schemas(ctx.project, EVENTS_MODULE)
     if extracted is None:
         return
     schemas, common = extracted
     for module_name, info in ctx.project.modules.items():
-        for node in ast.walk(info.tree):
+        for node in info.nodes:
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -446,7 +415,7 @@ def _tel001(ctx: XmodContext) -> Iterator[RawXFinding]:
                 yield (
                     info.path, node.lineno, node.col_offset,
                     f"emit of unknown event type {etype!r}: not declared "
-                    f"in {ctx.config.tel001_events_module}.EVENT_SCHEMAS",
+                    f"in {EVENTS_MODULE}.EVENT_SCHEMAS",
                 )
                 continue
             has_splat = any(k.arg is None for k in node.keywords)
@@ -477,22 +446,18 @@ def _is_builtin_exception(name: str) -> bool:
 
 
 def _entrypoint_units(ctx: XmodContext) -> set[str]:
-    """Unit ids matching the configured ``module:prefix`` entry points."""
-    roots: set[str] = set()
-    for spec in ctx.config.err001_entrypoints:
-        module, _, prefix = spec.partition(":")
-        info = ctx.project.modules.get(module)
-        if info is None:
-            continue
-        for unit_id, unit in ctx.graph.units.items():
-            if unit.module == module and unit.parent is None and (
-                unit.owner_class is None
-            ) and unit.node.name.startswith(prefix):
-                roots.add(unit_id)
-    return roots
+    """Unit ids of the CLI command handlers (module-level ``cmd_*``)."""
+    return {
+        unit_id
+        for unit_id, unit in ctx.graph.units.items()
+        if unit.module == CLI_MODULE
+        and unit.parent is None
+        and unit.owner_class is None
+        and unit.node.name.startswith(CLI_HANDLER_PREFIX)
+    }
 
 
-@_register(
+@register(
     "ERR001",
     "CLI-reachable raise outside the ReproError taxonomy",
     "error",
@@ -500,9 +465,9 @@ def _entrypoint_units(ctx: XmodContext) -> set[str]:
     "command handler must be a ReproError (or an exit/OS-error family the "
     "CLI boundary already catches), not a bare ValueError/RuntimeError "
     "that dumps a traceback at the user",
+    whole_program=True,
 )
 def _err001(ctx: XmodContext) -> Iterator[RawXFinding]:
-    base = ctx.config.err001_base
     reachable = ctx.graph.reachable(_entrypoint_units(ctx))
     for unit_id in sorted(reachable):
         unit = ctx.graph.units[unit_id]
@@ -529,15 +494,15 @@ def _err001(ctx: XmodContext) -> Iterator[RawXFinding]:
                         info.path, node.lineno, node.col_offset,
                         f"raise of builtin {target.id} in "
                         f"{unit.node.name}() is reachable from a CLI "
-                        f"command handler; raise a "
-                        f"{base.rsplit('.', 1)[-1]} subclass so the CLI "
-                        "exits cleanly instead of printing a traceback",
+                        "command handler; raise a ReproError subclass so "
+                        "the CLI exits cleanly instead of printing a "
+                        "traceback",
                     )
                 # otherwise a local name (e.g. a caught exception being
                 # re-raised): stay silent
                 continue
             leaf = resolved.qualname.rsplit(".", 1)[-1]
-            if resolved.qualname == base or leaf in ERR001_EXEMPT:
+            if resolved.qualname == ERR001_BASE or leaf in ERR001_EXEMPT:
                 continue
             if (
                 resolved.kind == "class"
@@ -545,7 +510,7 @@ def _err001(ctx: XmodContext) -> Iterator[RawXFinding]:
                 and resolved.module is not None
             ):
                 if ctx.project.is_subclass_of(
-                    resolved.module, resolved.node, {base}
+                    resolved.module, resolved.node, {ERR001_BASE}
                 ):
                     continue
             elif resolved.kind == "external":
@@ -557,8 +522,8 @@ def _err001(ctx: XmodContext) -> Iterator[RawXFinding]:
                 info.path, node.lineno, node.col_offset,
                 f"raise of {resolved.qualname} in {unit.node.name}() is "
                 "reachable from a CLI command handler but is not a "
-                f"{base.rsplit('.', 1)[-1]}: users get a traceback instead "
-                "of a clean error exit",
+                "ReproError: users get a traceback instead of a clean "
+                "error exit",
             )
 
 
@@ -568,8 +533,6 @@ __all__ = [
     "RAW_RNG_QUALNAMES",
     "RNG_STREAM_QUALNAME",
     "RawXFinding",
-    "XMOD_RULES",
     "XmodContext",
-    "XmodRule",
     "extract_event_schemas",
 ]

@@ -1,12 +1,12 @@
 """Whole-program symbol table: modules, top-level bindings, import edges.
 
-The per-file engine (:mod:`repro.lint.engine`) sees one AST at a time; the
-cross-module rules need to answer questions like *"what does the name
-``mk`` in this module actually denote?"* when ``mk`` arrived via
-``from numpy.random import default_rng as mk``.  This module parses the
-whole analyzed tree **once** and builds:
+The per-file rules see one AST at a time; the whole-program rules need to
+answer questions like *"what does the name ``mk`` in this module actually
+denote?"* when ``mk`` arrived via
+``from numpy.random import default_rng as mk``.  :meth:`Project.load`
+reads, parses and tokenizes every linted file **once** and builds:
 
-* a module table (dotted module name -> parsed source + AST + suppressions);
+* a module table (module key -> parsed AST + suppressions);
 * per-module top-level bindings: function/class definitions, assignments,
   and import aliases;
 * a resolver that follows import chains (bounded, cycle-safe) until a name
@@ -22,14 +22,44 @@ unsoundness (see DESIGN.md section 14).
 from __future__ import annotations
 
 import ast
+import io
+import re
+import tokenize
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-
-from repro.lint.engine import collect_suppressions
 
 #: resolver recursion bound: import chains deeper than this (or cyclic
 #: re-exports) resolve to None instead of recursing forever.
 MAX_RESOLVE_DEPTH = 16
+
+_SUPPRESS_RE = re.compile(
+    r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+|all)\s*$"
+)
+
+
+def collect_suppressions(source: str) -> dict[int, set[str]]:
+    """Map line number -> rule ids disabled on that line (``{'all'}`` for a
+    blanket line suppression)."""
+    suppressions: dict[int, set[str]] = {}
+    if "repro-lint:" not in source:
+        return suppressions  # no directive: skip the (slow) tokenizer
+    try:
+        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+        for token in tokens:
+            if token.type != tokenize.COMMENT:
+                continue
+            match = _SUPPRESS_RE.search(token.string)
+            if match is None:
+                continue
+            ids = {part.strip() for part in match.group(1).split(",")}
+            suppressions.setdefault(token.start[0], set()).update(
+                i for i in ids if i
+            )
+    except tokenize.TokenError:
+        # Unterminated constructs: the ast parse will report the real error.
+        pass
+    return suppressions
 
 
 def module_name_for(path: Path) -> str:
@@ -52,10 +82,11 @@ def module_name_for(path: Path) -> str:
 class ModuleInfo:
     """One parsed module of the analyzed tree."""
 
-    name: str
+    name: str  #: dotted module name (``repro.sim.controller``)
     path: str  #: posix path, exactly as discovered (finding locations)
-    source: str
     tree: ast.Module
+    #: every node of ``tree`` in ``ast.walk`` order (walked once, shared).
+    nodes: list[ast.AST] = field(default_factory=list)
     #: line -> rule ids disabled on that line (engine suppression format).
     suppressions: dict[int, set[str]] = field(default_factory=dict)
     #: top-level function/class definitions by name.
@@ -66,9 +97,6 @@ class ModuleInfo:
     #: binds ``np -> numpy``; ``from repro.util.rng import rng_stream``
     #: binds ``rng_stream -> repro.util.rng.rng_stream``.
     imports: dict[str, str] = field(default_factory=dict)
-
-    def top_level_names(self) -> set[str]:
-        return set(self.defs) | set(self.assigns) | set(self.imports)
 
 
 @dataclass(frozen=True)
@@ -128,35 +156,61 @@ def _index_module(info: ModuleInfo) -> None:
 
 
 class Project:
-    """The parsed whole-program view the cross-module rules run against."""
+    """The parsed whole-program view every rule runs against.
+
+    ``modules`` maps a module *key* to its :class:`ModuleInfo`.  The key is
+    the dotted module name, except when several files share one (two
+    ``a.py`` outside any package): each of those is keyed by its path, and
+    the shared name resolves to nothing rather than to a guess.
+    """
 
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
-        self.parse_failures: list[tuple[str, str]] = []  #: (path, message)
+        #: (path, line, column, message) of every file that does not parse.
+        self.parse_failures: list[tuple[str, int, int, str]] = []
+        #: dotted names that more than one file carries.
+        self.shared_names: set[str] = set()
 
     @classmethod
     def load(cls, files: list[Path]) -> "Project":
-        """Parse every file once and index its top-level bindings."""
+        """Read, parse and tokenize every file once."""
         project = cls()
         for path in files:
-            source = path.read_text(encoding="utf-8")
             try:
-                tree = ast.parse(source, filename=path.as_posix())
-            except SyntaxError as exc:
+                source = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                line = exc.object.count(b"\n", 0, exc.start) + 1
                 project.parse_failures.append(
-                    (path.as_posix(), exc.msg or "syntax error")
+                    (path.as_posix(), line, 0, f"not UTF-8 text: {exc}")
                 )
                 continue
-            info = ModuleInfo(
-                name=module_name_for(path),
-                path=path.as_posix(),
-                source=source,
-                tree=tree,
-                suppressions=collect_suppressions(source),
-            )
-            _index_module(info)
-            project.modules[info.name] = info
+            project.add(path.as_posix(), source, module_name_for(path))
         return project
+
+    def add(self, path: str, source: str, name: str) -> None:
+        """Parse and index one module; a parse failure is recorded instead."""
+        try:
+            tree = ast.parse(source, filename=path)
+        except (SyntaxError, ValueError) as exc:  # ValueError: NUL bytes
+            line = getattr(exc, "lineno", None) or 1
+            column = (getattr(exc, "offset", None) or 1) - 1
+            message = getattr(exc, "msg", None) or str(exc)
+            self.parse_failures.append((path, line, column, message))
+            return
+        info = ModuleInfo(
+            name, path, tree,
+            nodes=list(ast.walk(tree)),
+            suppressions=collect_suppressions(source),
+        )
+        _index_module(info)
+        clash = self.modules.pop(name, None)
+        if clash is None and name not in self.shared_names:
+            self.modules[name] = info
+            return
+        self.shared_names.add(name)
+        for module in (clash, info):
+            if module is not None:
+                self.modules[module.path] = module
 
     # -- resolution ----------------------------------------------------------
 
@@ -182,28 +236,26 @@ class Project:
     def resolve_dotted(self, dotted: str, _depth: int = 0) -> Resolved | None:
         """Resolve a dotted name to a definition inside the tree, or tag it
         external.  ``repro.util.rng.rng_stream`` lands on the function def;
-        ``numpy.random.default_rng`` is external."""
+        ``numpy.random.default_rng`` is external; a name under a module
+        name that several files share is unknown (``None``)."""
         if _depth > MAX_RESOLVE_DEPTH:
             return None
-        if dotted in self.modules:
-            return Resolved(dotted, "module", dotted, self.modules[dotted].tree)
-        head, _, leaf = dotted.rpartition(".")
-        if head and head in self.modules:
-            return self.resolve(head, leaf, _depth + 1)
-        # walk shorter prefixes: ``pkg.mod.Class.attr`` -> module pkg.mod
+        # longest module prefix first: ``pkg.mod.Class.attr`` -> pkg.mod
         parts = dotted.split(".")
-        for cut in range(len(parts) - 1, 0, -1):
+        for cut in range(len(parts), 0, -1):
             prefix = ".".join(parts[:cut])
-            if prefix in self.modules:
-                inner = self.resolve(prefix, parts[cut], _depth + 1)
-                if inner is None:
-                    return None
-                rest = parts[cut + 1:]
-                if not rest:
-                    return inner
-                return Resolved(
-                    f"{inner.qualname}." + ".".join(rest), "external"
-                )
+            if prefix in self.shared_names:
+                return None
+            if prefix not in self.modules:
+                continue
+            if cut == len(parts):
+                tree = self.modules[dotted].tree
+                return Resolved(dotted, "module", dotted, tree)
+            inner = self.resolve(prefix, parts[cut], _depth + 1)
+            rest = parts[cut + 1:]
+            if inner is None or not rest:
+                return inner
+            return Resolved(f"{inner.qualname}." + ".".join(rest), "external")
         return Resolved(dotted, "external")
 
     def resolve_expr(self, module: str, expr: ast.expr) -> Resolved | None:
@@ -235,10 +287,11 @@ class Project:
                 )
         return None
 
-    def class_mro_member(
-        self, module: str, cls: ast.ClassDef, name: str
-    ) -> Resolved | None:
-        """Look ``name`` up on ``cls`` and then its in-tree base classes."""
+    def _lineage(
+        self, module: str, cls: ast.ClassDef
+    ) -> Iterator[tuple[str, str, ast.ClassDef, list[Resolved]]]:
+        """``cls``, then its in-tree base classes breadth first, each once,
+        as ``(qualname, module, node, its resolvable bases)``."""
         seen: set[str] = set()
         queue: list[tuple[str, ast.ClassDef]] = [(module, cls)]
         while queue:
@@ -247,20 +300,28 @@ class Project:
             if key in seen:
                 continue
             seen.add(key)
+            bases = [
+                resolved
+                for resolved in (self.resolve_expr(mod, b) for b in node.bases)
+                if resolved is not None
+            ]
+            yield key, mod, node, bases
+            queue.extend(
+                (base.module, base.node)
+                for base in bases
+                if base.kind == "class"
+                and isinstance(base.node, ast.ClassDef)
+                and base.module is not None
+            )
+
+    def class_mro_member(
+        self, module: str, cls: ast.ClassDef, name: str
+    ) -> Resolved | None:
+        """Look ``name`` up on ``cls`` and then its in-tree base classes."""
+        for key, mod, node, _ in self._lineage(module, cls):
             member = _class_member(node, name)
             if member is not None:
-                return Resolved(
-                    f"{key}.{name}", "function", mod, member
-                )
-            for base in node.bases:
-                resolved = self.resolve_expr(mod, base)
-                if (
-                    resolved is not None
-                    and resolved.kind == "class"
-                    and isinstance(resolved.node, ast.ClassDef)
-                    and resolved.module is not None
-                ):
-                    queue.append((resolved.module, resolved.node))
+                return Resolved(f"{key}.{name}", "function", mod, member)
         return None
 
     def is_subclass_of(
@@ -269,27 +330,11 @@ class Project:
         """Does ``cls`` (transitively, within the tree) derive from any of
         ``base_qualnames`` (full dotted names, e.g.
         ``repro.errors.ReproError``)?"""
-        seen: set[str] = set()
-        queue: list[tuple[str, ast.ClassDef]] = [(module, cls)]
-        while queue:
-            mod, node = queue.pop(0)
-            key = f"{mod}.{node.name}"
-            if key in seen:
-                continue
-            seen.add(key)
-            if key in base_qualnames:
-                return True
-            for base in node.bases:
-                resolved = self.resolve_expr(mod, base)
-                if resolved is None:
-                    continue
-                if resolved.qualname in base_qualnames:
-                    return True
-                if resolved.kind == "class" and isinstance(
-                    resolved.node, ast.ClassDef
-                ) and resolved.module is not None:
-                    queue.append((resolved.module, resolved.node))
-        return False
+        return any(
+            key in base_qualnames
+            or any(base.qualname in base_qualnames for base in bases)
+            for key, _, _, bases in self._lineage(module, cls)
+        )
 
 
 def _dotted_of(expr: ast.expr) -> str | None:
@@ -318,9 +363,9 @@ def _class_member(
 
 
 __all__ = [
-    "MAX_RESOLVE_DEPTH",
     "ModuleInfo",
     "Project",
     "Resolved",
+    "collect_suppressions",
     "module_name_for",
 ]

@@ -276,7 +276,7 @@ class RunStore:
                 manifest = json.loads(
                     manifest_path.read_text(encoding="utf-8")
                 )
-            except (OSError, json.JSONDecodeError):
+            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
                 continue
             if (
                 isinstance(manifest, dict)
@@ -298,7 +298,7 @@ class RunStore:
             )
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ObsError(f"unreadable manifest for {run_id!r}: {exc}") from exc
         if (
             not isinstance(manifest, dict)

@@ -98,7 +98,7 @@ class TailReader:
                 continue
             try:
                 event = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ObsError(
                     f"{self.path}: damaged trace line: {exc}"
                 ) from exc

@@ -115,7 +115,7 @@ def _load_one(path: str, kind: str) -> tuple[dict, list]:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CheckpointCorrupt(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != FORMAT:
         raise CheckpointCorrupt(f"{path}: not a {FORMAT} file")

@@ -213,14 +213,16 @@ def write_jsonl(path: str | Path, events: Iterable[Mapping]) -> None:
 def read_jsonl(path: str | Path) -> list[dict]:
     """Load a JSON-lines trace; raises :class:`TelemetryError` on damage."""
     events = []
-    with open(path, encoding="utf-8") as fh:
+    # bytes in, so a line that is not UTF-8 fails in json.loads, on its
+    # own line number, instead of escaping as a UnicodeDecodeError
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 event = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise TelemetryError(
                     f"{path}:{lineno}: not valid JSON: {exc}"
                 ) from exc

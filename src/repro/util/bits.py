@@ -20,7 +20,12 @@ def is_pow2(x: int) -> bool:
 def ilog2(x: int) -> int:
     """Integer log2 of a power of two; raises for anything else."""
     if not is_pow2(x):
-        raise ValueError(f"{x} is not a positive power of two")
+        # dependency-leaf math helper: ValueError on a non-power-of-two is
+        # the stdlib domain-error convention (cf. math.log) and callers
+        # catch ValueError
+        raise ValueError(  # repro-lint: disable=ERR001
+            f"{x} is not a positive power of two"
+        )
     return x.bit_length() - 1
 
 

@@ -125,6 +125,8 @@ def get(name: str) -> WorkloadSpec:
     try:
         return _SUITE[name]
     except KeyError:
-        raise KeyError(
+        # mapping-protocol contract: get() mirrors dict lookup over the
+        # benchmark suite and tests assert KeyError on unknown names
+        raise KeyError(  # repro-lint: disable=ERR001
             f"unknown benchmark {name!r}; choose one of {sorted(_SUITE)}"
         ) from None

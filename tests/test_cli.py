@@ -193,3 +193,15 @@ class TestCurveCaching:
         save_curves(path, {})
         with pytest.raises(SystemExit, match="lacks"):
             main(["partition", "--set", "1", "--curves", path, "--scale", "32"])
+
+
+class TestDamagedInputs:
+    @pytest.mark.parametrize("command", ["report", "stats", "diff"])
+    def test_non_utf8_trace_is_clean_error(self, tmp_path, capsys, command):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"\xff\n")
+        operands = [str(path)] * (2 if command == "diff" else 1)
+        assert main([command, *operands]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: not valid JSON")
+        assert len(err.strip().splitlines()) == 1

@@ -1,5 +1,7 @@
-"""Static-analysis engine: every rule positive+negative, suppressions,
-configuration, reporters, CLI exit codes."""
+"""Static-analysis engine: every per-file rule positive+negative,
+suppressions, configuration, reporters, CLI flags and exit codes (the
+whole-program rules and the single pass over both kinds are in
+test_xmod.py)."""
 
 import json
 
@@ -241,28 +243,29 @@ class TestSuppressions:
 
 
 class TestConfig:
-    def test_severity_override(self):
-        cfg = config_from_mapping({"severity": {"FP001": "advice"}})
-        findings = lint("bad = x == 1.5\n", config=cfg)
-        fp = [f for f in findings if f.rule == "FP001"]
-        assert fp and fp[0].severity == "advice"
-
-    def test_select_restricts(self):
-        cfg = config_from_mapping({"select": ["DET001"]})
-        src = "import random\nbad = x == 1.5\n"
-        assert rules_of(lint(src, config=cfg)) == ["DET001"]
-
-    def test_ignore_drops(self):
-        cfg = config_from_mapping({"ignore": ["FP001"]})
-        assert "FP001" not in rules_of(lint("bad = x == 1.5\n", config=cfg))
-
     def test_unknown_key_rejected(self):
         with pytest.raises(LintConfigError):
             config_from_mapping({"sevrity": {}})
 
-    def test_bad_severity_value_rejected(self):
+    def test_misspelt_rules_key_rejected(self):
+        # a typo'd key must not leave DET002 at its default scope
+        with pytest.raises(LintConfigError, match="det002-path"):
+            config_from_mapping({"rules": {"det002-path": ["repro/noc/"]}})
+
+    @pytest.mark.parametrize("data", [
+        {"select": ["DET001"]},
+        {"ignore": ["FP001"]},
+        {"severity": {"FP001": "advice"}},
+        {"rules": {"det003-allow": ["repro/util/rng.py"]}},
+        {"rules": {"err001-base": "repro.errors.ReproError"}},
+    ])
+    def test_retired_keys_rejected(self, data):
         with pytest.raises(LintConfigError):
-            config_from_mapping({"severity": {"FP001": "warning"}})
+            config_from_mapping(data)
+
+    def test_rules_value_must_be_string_list(self):
+        with pytest.raises(LintConfigError, match="list of strings"):
+            config_from_mapping({"rules": {"det001-allow": "rng.py"}})
 
     def test_load_config_reads_repo_pyproject(self):
         cfg = load_config()
@@ -332,6 +335,7 @@ class TestReporters:
 
     def test_render_rules_lists_every_rule(self):
         text = render_rules()
+        assert len(RULES) == 11
         for rule_id in RULES:
             assert rule_id in text
 
@@ -378,8 +382,29 @@ class TestCli:
         from repro.cli import main
 
         assert main(["lint", "--list-rules"]) == 0
-        assert "DET001" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        for rule_id in ("DET001", "DET002", "FP001", "INV001", "API001",
+                        "RES002", "PAR001", "PAR002", "DET003", "TEL001",
+                        "ERR001"):
+            assert f"{rule_id} [" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--xmod"],
+        ["--baseline", "lint-baseline.json"],
+        ["--update-baseline"],
+        ["--sarif", "out.sarif"],
+        ["--no-cache"],
+        ["--cache-path", "cache.json"],
+    ])
+    def test_removed_flags_are_argparse_errors(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--list-rules", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_repository_is_clean(self):
         result = lint_paths(["src", "benchmarks", "examples"], load_config())
         assert result.exit_code == 0, render_text(result)
+

@@ -103,6 +103,16 @@ class TestRunStore:
         (bad / "manifest.json").write_text("{nope", encoding="utf-8")
         assert [r.run_id for r in store.list()] == [good.run_id]
 
+    def test_non_utf8_manifest_is_skipped_or_obs_error(self, tmp_path):
+        store = RunStore(tmp_path / "runs")
+        good = store.archive(source="simulate", config=CFG)
+        bad = tmp_path / "runs" / "broken"
+        bad.mkdir()
+        (bad / "manifest.json").write_bytes(b"\xff")
+        assert [r.run_id for r in store.list()] == [good.run_id]
+        with pytest.raises(ObsError, match="unreadable manifest"):
+            store.get("broken")
+
     def test_resolve_trace_prefers_paths(self, tmp_path):
         trace = tmp_path / "t.jsonl"
         write_jsonl(trace, _decision_stream())
@@ -239,6 +249,12 @@ class TestTailReader:
     def test_damaged_complete_line_raises(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_bytes(b'{"type": broken}\n')
+        with pytest.raises(ObsError, match="damaged trace line"):
+            TailReader(path).poll()
+
+    def test_non_utf8_line_raises(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\xff\n")
         with pytest.raises(ObsError, match="damaged trace line"):
             TailReader(path).poll()
 

@@ -353,6 +353,12 @@ class TestMonteCarloResultViews:
         with pytest.raises(CheckpointCorrupt):
             MonteCarloResult.from_json(bad)
 
+    def test_from_json_non_utf8_is_checkpoint_corrupt(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"format": "\xff"}')
+        with pytest.raises(CheckpointCorrupt, match="not valid JSON"):
+            MonteCarloResult.from_json(bad)
+
     @pytest.mark.parametrize(
         "point",
         [

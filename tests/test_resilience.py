@@ -534,6 +534,26 @@ class TestCheckpointFile:
         assert meta == {"seed": 7}
         assert completed == [{"i": 0}]  # the previous generation
 
+    def test_non_utf8_snapshot_is_checkpoint_corrupt(self, tmp_path):
+        path = str(tmp_path / "c.json")
+        save_checkpoint(path, "k", {}, [])  # single save: no .bak yet
+        with open(path, "r+b") as fh:
+            fh.seek(10)
+            fh.write(b"\xff")  # one byte that is not UTF-8
+        with pytest.raises(CheckpointCorrupt, match="not valid JSON"):
+            load_checkpoint(path, "k")
+
+    def test_non_utf8_primary_falls_back_to_bak(self, tmp_path):
+        path = str(tmp_path / "c.json")
+        save_checkpoint(path, "k", {"seed": 7}, [{"i": 0}])
+        save_checkpoint(path, "k", {"seed": 7}, [{"i": 0}, {"i": 1}])
+        with open(path, "r+b") as fh:
+            fh.seek(10)
+            fh.write(b"\xff")
+        meta, completed = load_checkpoint(path, "k")
+        assert meta == {"seed": 7}
+        assert completed == [{"i": 0}]  # the previous generation
+
     def test_both_generations_damaged_raises(self, tmp_path):
         path = str(tmp_path / "c.json")
         save_checkpoint(path, "k", {}, [{"i": 0}])

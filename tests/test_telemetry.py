@@ -115,6 +115,16 @@ class TestTracer:
         with pytest.raises(TelemetryError, match="expected a JSON object"):
             read_jsonl(bad)
 
+    def test_read_jsonl_non_utf8_is_telemetry_error(self, tmp_path):
+        t = Tracer()
+        t.emit_run_meta("simulate")
+        bad = tmp_path / "bad.jsonl"
+        t.write_jsonl(bad)
+        with open(bad, "ab") as fh:
+            fh.write(b"\xff\n")
+        with pytest.raises(TelemetryError, match=r"bad\.jsonl:2: not valid"):
+            read_jsonl(bad)
+
     def test_write_jsonl_empty_stream(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         write_jsonl(path, [])

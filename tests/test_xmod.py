@@ -1,36 +1,26 @@
-"""Tests of the whole-program analyzer (``repro lint --xmod``).
+"""Tests of the whole-program rules of ``repro lint``.
 
 Synthetic fixture trees are written under ``tmp_path`` mimicking the
-package layout the default config expects (``repro/cli.py`` entry points,
+package layout the rules expect (``repro/cli.py`` entry points,
 ``repro/errors.py`` taxonomy, ``repro/telemetry/events.py`` schemas), so
 every cross-module rule can be exercised positive and suppressed-negative
-without touching the real tree.
+without touching the real tree.  Each fixture goes through the full
+single pass (:func:`~repro.lint.engine.lint_paths`), per-file rules
+included.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.lint.config import LintConfig
-from repro.lint.engine import iter_python_files
-from repro.lint.findings import Finding, LintResult
-from repro.lint.sarif import render_sarif, to_sarif
-from repro.lint.xmod import analyze_files
-from repro.lint.xmod.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.xmod.cache import load_cached, store, tree_key
+from repro.lint.engine import PARSE_RULE, iter_python_files, lint_paths
+from repro.lint.findings import LintResult
 from repro.lint.xmod.callgraph import build_call_graph
-from repro.lint.xmod.engine import XMOD_ANALYZER_VERSION
 from repro.lint.xmod.symbols import Project, module_name_for
-
-GOLDEN = Path(__file__).parent / "data" / "sarif_golden.json"
 
 
 def write_tree(root: Path, files: dict[str, str]) -> list[Path]:
@@ -54,7 +44,8 @@ def rules_of(result: LintResult) -> list[str]:
 
 
 def analyze(root: Path, files: dict[str, str]) -> LintResult:
-    return analyze_files(write_tree(root, files), LintConfig())
+    write_tree(root, files)
+    return lint_paths([str(root)], LintConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +88,7 @@ class TestSymbols:
             "pkg/__init__.py": "",
             "pkg/mod.py": "import numpy as np\n",
         })
-        import ast as ast_mod
-        expr = ast_mod.parse("np.random.default_rng", mode="eval").body
+        expr = ast.parse("np.random.default_rng", mode="eval").body
         resolved = project.resolve_expr("pkg.mod", expr)
         assert resolved is not None
         assert resolved.kind == "external"
@@ -111,6 +101,28 @@ class TestSymbols:
             "pkg/b.py": "from pkg.a import name\n",
         })
         assert project.resolve("pkg.a", "name") is None
+
+    def test_shared_module_name_keeps_every_file(self, tmp_path):
+        # two a.py outside any package share the dotted name "a": both are
+        # linted (keyed by path), and the shared name itself resolves to
+        # nothing rather than to whichever file came last
+        source = "import numpy as np\n\nrng = np.random.default_rng()\n"
+        result = analyze(tmp_path, {
+            "x/a.py": source,
+            "y/a.py": source,
+            "z/use.py": "from a import rng\n",
+        })
+        assert result.files_checked == 3
+        found = sorted(
+            (Path(f.path).parent.name, f.rule) for f in result.findings
+        )
+        assert found == [
+            ("x", "DET001"), ("x", "DET003"),
+            ("y", "DET001"), ("y", "DET003"),
+        ]
+        project = Project.load(sorted(tmp_path.rglob("*.py")))
+        assert project.shared_names == {"a"}
+        assert project.resolve("use", "rng") is None
 
     def test_is_subclass_of_follows_bases_across_modules(self, tmp_path):
         project = project_of(tmp_path, {
@@ -302,6 +314,8 @@ class TestPar002:
 
 class TestDet003:
     def test_raw_generator_flagged(self, tmp_path):
+        # the per-file DET001 sees the ``np.random`` attribute, DET003 the
+        # constructor it resolves to: one pass reports both
         result = analyze(tmp_path, {
             "pkg/__init__.py": "",
             "pkg/sim.py": (
@@ -310,10 +324,21 @@ class TestDet003:
                 "    return np.random.default_rng().random()\n"
             ),
         })
+        assert rules_of(result) == ["DET001", "DET003"]
+
+    def test_import_alias_only_det003_sees(self, tmp_path):
+        result = analyze(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/sim.py": (
+                "import numpy as n\n\n"
+                "def draw():\n"
+                "    return n.random.default_rng().random()\n"
+            ),
+        })
         assert rules_of(result) == ["DET003"]
 
     def test_rng_stream_chokepoint_is_allowed(self, tmp_path):
-        # the sanctioned construction site is carved out by det003-allow
+        # the sanctioned construction site is carved out by det001-allow
         result = analyze(tmp_path, {
             "repro/__init__.py": "",
             "repro/util/__init__.py": "",
@@ -350,9 +375,9 @@ class TestDet003:
         result = analyze(tmp_path, {
             "pkg/__init__.py": "",
             "pkg/sim.py": (
-                "import numpy as np\n\n"
+                "import numpy as n\n\n"
                 "def draw():\n"
-                "    return np.random.default_rng().random()"
+                "    return n.random.default_rng().random()"
                 "  # repro-lint: disable=DET003\n"
             ),
         })
@@ -477,7 +502,7 @@ class TestErr001:
             "    raise ValueError('bad')\n"
         )
         files["repro/cli.py"] = "def cmd_run(args):\n    return 0\n"
-        result = analyze_files(write_tree(tmp_path, files), LintConfig())
+        result = analyze(tmp_path, files)
         assert rules_of(result) == []
 
     def test_suppressed_negative(self, tmp_path):
@@ -489,164 +514,54 @@ class TestErr001:
 
 
 # ---------------------------------------------------------------------------
-# SARIF reporter
+# the single pass: both kinds of rule, one parse per file
 
 
-class TestSarif:
-    RESULT = LintResult(
-        findings=(
-            Finding(
-                path="src/repro/fabric/sweep.py",
-                line=170,
-                column=8,
-                rule="TEL001",
-                severity="error",
-                message="emit of 'mc_point' passes field 'legacy' that the "
-                        "schema does not declare",
-            ),
-            Finding(
-                path="src/repro/util/bits.py",
-                line=23,
-                column=8,
-                rule="ERR001",
-                severity="advice",
-                message="[baselined: conventional contract] raise of "
-                        "builtin ValueError",
-            ),
-        ),
-        files_checked=2,
-    )
+class TestSinglePass:
+    def test_one_run_reports_both_kinds_of_rule(self, tmp_path, capsys):
+        from repro.cli import main
 
-    def test_levels_and_locations(self):
-        doc = to_sarif(self.RESULT)
-        run = doc["runs"][0]
-        results = run["results"]
-        assert [r["level"] for r in results] == ["error", "warning"]
-        region = results[0]["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] == 170
-        assert region["startColumn"] == 9  # SARIF columns are 1-based
+        write_tree(tmp_path, {
+            "repro/__init__.py": "",
+            "repro/domain.py": """
+                def helper(ratio: float) -> bool:
+                    if ratio == 0.5:
+                        raise ValueError("bad ratio")
+                    return True
+            """,
+            "repro/cli.py": """
+                from repro.domain import helper
 
-    def test_rule_catalogue_covers_xmod_rules(self):
-        doc = to_sarif(self.RESULT)
-        ids = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
-        assert {"PAR001", "PAR002", "DET003", "TEL001", "ERR001"} <= ids
-        assert "DET001" in ids  # per-file rules are in the catalogue too
+                def cmd_run(args):
+                    return helper(args.ratio)
+            """,
+        })
+        assert main(["lint", str(tmp_path), "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["files_checked"] == 3
+        found = [(f["path"].rsplit("/", 1)[-1], f["line"], f["rule"])
+                 for f in payload["findings"]]
+        assert found == [("domain.py", 3, "FP001"), ("domain.py", 4, "ERR001")]
 
-    def test_golden_file(self):
-        assert render_sarif(self.RESULT) == GOLDEN.read_text(
-            encoding="utf-8"
-        ), (
-            "SARIF output drifted from the golden file; if the change is "
-            "intentional, regenerate tests/data/sarif_golden.json"
-        )
+    def test_unparseable_file_is_one_parse_finding(self, tmp_path):
+        write_tree(tmp_path, {"bad.py": "def broken(:\n", "ok.py": "x = 1\n"})
+        result = lint_paths([str(tmp_path)], LintConfig())
+        assert rules_of(result) == [PARSE_RULE]
+        assert result.findings[0].line == 1
+        assert result.files_checked == 2
 
+    def test_non_utf8_file_is_a_parse_finding(self, tmp_path, capsys):
+        from repro.cli import main
 
-# ---------------------------------------------------------------------------
-# baseline ratcheting
-
-
-class TestBaseline:
-    OLD = Finding(
-        path="src/a.py", line=3, column=0, rule="ERR001",
-        severity="error", message="raise of builtin ValueError",
-    )
-    NEW = Finding(
-        path="src/b.py", line=9, column=4, rule="PAR002",
-        severity="error", message="worker-reachable global write",
-    )
-
-    def baseline(self, tmp_path: Path) -> Path:
-        path = tmp_path / "lint-baseline.json"
-        write_baseline([self.OLD], path)
-        data = json.loads(path.read_text())
-        for entry in data["entries"]:
-            entry["reason"] = "adopted with debt; tracked in the ratchet"
-        path.write_text(json.dumps(data))
-        return path
-
-    def test_old_finding_is_demoted_new_finding_fails(self, tmp_path):
-        entries = load_baseline(self.baseline(tmp_path))
-        outcome = apply_baseline([self.OLD, self.NEW], entries)
-        assert [f.rule for f in outcome.new] == ["PAR002"]
-        assert [f.severity for f in outcome.baselined] == ["advice"]
-        assert outcome.baselined[0].message.startswith("[baselined:")
-        assert not outcome.stale
-        # the ratchet contract: only the NEW finding can fail a build
-        gate = LintResult(
-            findings=tuple([*outcome.new, *outcome.baselined]),
-            files_checked=1,
-        )
-        assert gate.exit_code == 1
-        clean = apply_baseline([self.OLD], entries)
-        assert LintResult(
-            findings=tuple([*clean.new, *clean.baselined]), files_checked=1
-        ).exit_code == 0
-
-    def test_stale_entries_are_reported(self, tmp_path):
-        entries = load_baseline(self.baseline(tmp_path))
-        outcome = apply_baseline([], entries)
-        assert [e.rule for e in outcome.stale] == ["ERR001"]
-
-    def test_empty_reason_is_rejected(self, tmp_path):
-        path = tmp_path / "lint-baseline.json"
-        write_baseline([self.OLD], path)
-        data = json.loads(path.read_text())
-        data["entries"][0]["reason"] = "  "
-        path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="reason"):
-            load_baseline(path)
-
-    def test_update_carries_reasons_over(self, tmp_path):
-        path = self.baseline(tmp_path)
-        previous = load_baseline(path)
-        write_baseline([self.OLD, self.NEW], path, previous)
-        reasons = {
-            e.rule: e.reason for e in load_baseline(path)
-        }
-        assert reasons["ERR001"] == "adopted with debt; tracked in the ratchet"
-        assert reasons["PAR002"].startswith("TODO")
-
-
-# ---------------------------------------------------------------------------
-# findings cache
-
-
-class TestCache:
-    FILES = {
-        "pkg/__init__.py": "",
-        "pkg/mod.py": "def f():\n    return 1\n",
-    }
-
-    def test_roundtrip_and_content_invalidation(self, tmp_path):
-        files = write_tree(tmp_path, self.FILES)
-        config = LintConfig()
-        cache_path = tmp_path / "cache.json"
-        key = tree_key(files, config, XMOD_ANALYZER_VERSION)
-        assert load_cached(cache_path, key) is None
-        result = analyze_files(files, config)
-        store(cache_path, key, result)
-        hit = load_cached(cache_path, key)
-        assert hit is not None
-        assert hit.findings == result.findings
-        assert hit.files_checked == result.files_checked
-        # editing any file changes the key -> miss
-        files[-1].write_text("def f():\n    return 2\n")
-        assert tree_key(files, config, XMOD_ANALYZER_VERSION) != key
-
-    def test_config_fingerprint_invalidates(self, tmp_path):
-        files = write_tree(tmp_path, self.FILES)
-        key_a = tree_key(files, LintConfig(), XMOD_ANALYZER_VERSION)
-        key_b = tree_key(
-            files, LintConfig(ignore=("PAR001",)), XMOD_ANALYZER_VERSION
-        )
-        assert key_a != key_b
-
-    def test_corrupt_cache_is_a_miss(self, tmp_path):
-        files = write_tree(tmp_path, self.FILES)
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text("{ not json")
-        key = tree_key(files, LintConfig(), XMOD_ANALYZER_VERSION)
-        assert load_cached(cache_path, key) is None
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        (tmp_path / "bad.py").write_bytes(b"x = 1\ny = '\xff'\n")
+        assert main(["lint", str(tmp_path), "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["files_checked"] == 2
+        [finding] = payload["findings"]
+        assert finding["rule"] == PARSE_RULE
+        assert finding["path"].endswith("bad.py") and finding["line"] == 2
+        assert "UTF-8" in finding["message"]
 
 
 # ---------------------------------------------------------------------------
