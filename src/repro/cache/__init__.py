@@ -1,4 +1,4 @@
-"""Cache substrate: replacement, way-partitioned sets, banks, the NUCA L2."""
+"""Cache substrate: LRU way-partitioned sets, banks, the NUCA L2."""
 
 from repro.cache.aggregation import (
     SCHEMES,
@@ -12,8 +12,6 @@ from repro.cache.aggregation import (
 )
 from repro.cache.bank import BankStats, CacheBank
 from repro.cache.cacheset import CacheSet, Eviction
-from repro.cache.hierarchy import CacheHierarchy, HierarchyResult
-from repro.cache.l1 import L1Cache, L1Stats
 from repro.cache.nuca import AccessResult, NucaL2, NucaStats
 from repro.cache.partition_map import (
     BankAllocation,
@@ -21,17 +19,8 @@ from repro.cache.partition_map import (
     PartitionMap,
     equal_partition_map,
 )
-from repro.cache.replacement import (
-    POLICIES,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    TreePLRUPolicy,
-    make_policy,
-)
 
 __all__ = [
-    "POLICIES",
     "SCHEMES",
     "AccessResult",
     "AddressHashAggregation",
@@ -40,24 +29,15 @@ __all__ = [
     "BankAllocation",
     "BankStats",
     "CacheBank",
-    "CacheHierarchy",
     "CacheSet",
     "CascadeAggregation",
     "CorePartition",
     "Eviction",
-    "HierarchyResult",
     "IdealLRUAggregation",
-    "L1Cache",
-    "L1Stats",
-    "LRUPolicy",
     "NucaL2",
     "NucaStats",
     "ParallelAggregation",
     "PartitionMap",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "TreePLRUPolicy",
     "equal_partition_map",
     "make_aggregation",
-    "make_policy",
 ]

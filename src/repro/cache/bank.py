@@ -38,14 +38,7 @@ class BankStats:
 class CacheBank:
     """One banked slice of the L2: ``num_sets`` sets of ``ways`` ways."""
 
-    def __init__(
-        self,
-        bank_id: int,
-        num_sets: int,
-        ways: int,
-        *,
-        policy: str = "lru",
-    ) -> None:
+    def __init__(self, bank_id: int, num_sets: int, ways: int) -> None:
         if num_sets < 1:
             raise ConfigError("bank needs at least one set")
         self.bank_id = bank_id
@@ -54,7 +47,7 @@ class CacheBank:
         self._set_mask = num_sets - 1
         if num_sets & self._set_mask:
             raise ConfigError("bank set count must be a power of two")
-        self.sets = [CacheSet(ways, policy) for _ in range(num_sets)]
+        self.sets = [CacheSet(ways) for _ in range(num_sets)]
         #: cores allowed to allocate into each way; None = any core.
         self._way_owners: list[frozenset[int] | None] = [None] * ways
         #: cached per-core candidate tuples derived from ``_way_owners``.

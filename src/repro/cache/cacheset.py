@@ -7,17 +7,15 @@ requesting core (Section III.B).  :class:`CacheSet` implements exactly that:
 ``insert`` takes the candidate way list supplied by the bank's partition
 state, so the same code serves shared, private and partially-shared sets.
 
-True LRU (the policy the MSA machinery assumes) is inlined as integer
-stamps for speed — this class sits on the hottest path of the simulator;
-the pluggable policies of :mod:`repro.cache.replacement` are used when a
-non-LRU set is requested.
+Replacement is true LRU, the policy the MSA profilers model, inlined as
+integer stamps for speed: this class sits on the hottest path of the
+simulator.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.cache.replacement import make_policy
 from repro.errors import ConfigError, SimulationInvariantError
 
 
@@ -40,10 +38,9 @@ class CacheSet:
         "_map",
         "_stamps",
         "_clock",
-        "policy",
     )
 
-    def __init__(self, ways: int, policy: str = "lru") -> None:
+    def __init__(self, ways: int) -> None:
         if ways < 1:
             raise ConfigError("a set needs at least one way")
         self.ways = ways
@@ -54,7 +51,6 @@ class CacheSet:
         # inlined LRU state (stamp 0 == never touched)
         self._stamps = [0] * ways
         self._clock = 0
-        self.policy = None if policy == "lru" else make_policy(policy, ways)
 
     # -- queries ------------------------------------------------------------
 
@@ -70,8 +66,6 @@ class CacheSet:
             return None
         self._clock += 1
         self._stamps[way] = self._clock
-        if self.policy is not None:
-            self.policy.touch(way)
         if is_write:
             self._dirty[way] = True
         return way
@@ -92,12 +86,6 @@ class CacheSet:
         """Ways currently holding lines allocated by ``core``."""
         return [w for w in range(self.ways) if self._owner[w] == core]
 
-    def recency_order(self) -> list[int]:
-        """Ways ordered MRU -> LRU (tests and the MSA reference)."""
-        if self.policy is not None:
-            return self.policy.recency_order()
-        return sorted(range(self.ways), key=lambda w: -self._stamps[w])
-
     # -- updates ------------------------------------------------------------
 
     def insert(
@@ -110,9 +98,8 @@ class CacheSet:
     ) -> Eviction | None:
         """Fill ``tag`` for ``core`` into one of ``candidates`` ways.
 
-        An empty candidate way is preferred; otherwise the replacement policy
-        (LRU by default) chooses the victim among candidates.  Returns the
-        eviction (if any).
+        An empty candidate way is preferred; otherwise the least recently
+        used candidate is the victim.  Returns the eviction (if any).
         """
         if tag in self._map:
             raise ConfigError(f"tag {tag} already resident; use lookup()")
@@ -135,8 +122,6 @@ class CacheSet:
                 f"replacement selected no victim among candidate ways "
                 f"{candidates} (non-empty by precondition)"
             )
-        if self.policy is not None and tags[way] is not None:
-            way = self.policy.victim(candidates)
         evicted = None
         old = tags[way]
         if old is not None:
@@ -148,8 +133,6 @@ class CacheSet:
         self._map[tag] = way
         self._clock += 1
         self._stamps[way] = self._clock
-        if self.policy is not None:
-            self.policy.touch(way)
         return evicted
 
     def invalidate(self, tag: int) -> Eviction | None:
@@ -162,8 +145,6 @@ class CacheSet:
         self._dirty[way] = False
         self._owner[way] = -1
         self._stamps[way] = 0
-        if self.policy is not None:
-            self.policy.invalidate(way)
         return ev
 
     def set_dirty(self, tag: int, dirty: bool = True) -> None:

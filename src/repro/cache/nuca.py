@@ -164,8 +164,6 @@ class NucaL2:
         num_cores: int = 8,
         *,
         placement: str = "parallel",
-        promote_on_hit: bool = True,
-        policy: str = "lru",
     ) -> None:
         self.config = config or L2Config()
         self.config.validate()
@@ -173,7 +171,6 @@ class NucaL2:
             raise ConfigError("placement must be 'parallel', 'hash' or 'dnuca'")
         self.num_cores = num_cores
         self.placement = placement
-        self.promote_on_hit = promote_on_hit
         #: nearest-first bank list per core (DNUCA migration geography).
         self.bank_orders = [
             distance_ordered_banks(c, num_cores, self.config.num_banks)
@@ -186,7 +183,7 @@ class NucaL2:
         #: demotion-chain cap per access in DNUCA mode (bounded migration).
         self.max_demotions = 2
         self.banks = [
-            CacheBank(b, self.config.sets_per_bank, self.config.bank_ways, policy=policy)
+            CacheBank(b, self.config.sets_per_bank, self.config.bank_ways)
             for b in range(self.config.num_banks)
         ]
         self._set_bits = ilog2(self.config.sets_per_bank)
@@ -416,8 +413,7 @@ class NucaL2:
             migrations = 0
             evictions: tuple[Eviction, ...] = ()
             if (
-                self.promote_on_hit
-                and part.level2 is not None
+                part.level2 is not None
                 and home == part.level2.bank
                 and len(part.level1) > 0
             ):

@@ -142,7 +142,10 @@ def _index_module(info: ModuleInfo) -> None:
         elif isinstance(node, ast.ImportFrom):
             if node.level:  # relative import: anchor on this package
                 base_parts = info.name.split(".")
-                anchor = base_parts[: len(base_parts) - node.level]
+                drop = node.level
+                if Path(info.path).name == "__init__.py":
+                    drop -= 1  # a package's __init__ is named for the package
+                anchor = base_parts[: len(base_parts) - drop]
                 module = ".".join(anchor + ([node.module] if node.module else []))
             else:
                 module = node.module or ""

@@ -1,5 +1,5 @@
-"""Memory-access records and trace containers."""
+"""Columnar memory-access traces."""
 
-from repro.mem.trace import MemoryAccess, Trace, interleave_round_robin
+from repro.mem.trace import Trace
 
-__all__ = ["MemoryAccess", "Trace", "interleave_round_robin"]
+__all__ = ["Trace"]

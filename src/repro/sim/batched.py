@@ -102,7 +102,6 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
         ]
     else:
         mode = _P_DNUCA if l2.placement == "dnuca" else _P_AGG
-    promote_on_hit = l2.promote_on_hit
 
     # -- check out cache state into flat arrays ------------------------------
     # One list per field across all banks; bank b owns the index range
@@ -1053,7 +1052,7 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                 if wr:
                     fdirty_[enc] = True
                 bhits_[home][c] += 1
-                if promote_on_hit and home == l2bank_[c] and l1banks_[c]:
+                if home == l2bank_[c] and l1banks_[c]:
                     agg_promote(c, line, home, enc)
                 hit = True
                 bank_id = home

@@ -24,8 +24,8 @@ whether a bank has 2048 or 256 sets.
 
 Traces generated here represent the **L2 reference stream** (the paper's
 profilers likewise monitor "the L2 cache accesses of each core"); the L1 is
-modelled separately (``repro.cache.l1``) and its hit latency is folded into
-the workload's non-memory CPI.  ``gap`` values encode the instructions
+not simulated: its hit latency is folded into the workload's non-memory
+CPI.  ``gap`` values encode the instructions
 retired between consecutive L2 references, derived from the workload's L2
 accesses-per-kilo-instruction.
 """
@@ -122,10 +122,6 @@ class WorkloadSpec:
     def mean_gap(self) -> float:
         """Mean non-memory instructions between consecutive L2 references."""
         return max(1000.0 / self.l2_apki - 1.0, 0.0)
-
-    @property
-    def total_footprint_ways(self) -> int:
-        return sum(p.ways for p in self.pools)
 
     def component_weights(self) -> np.ndarray:
         """Normalised mixture weights: pools first, stream last."""

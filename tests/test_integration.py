@@ -109,9 +109,9 @@ class TestLatencyWiring:
             l2.apply_partition(pmap)
             timer = CoreTimer(0, cfg.core, nonmem_cpi=0.5, mlp=1.5)
             contention = ContentionModel(cfg.l2.num_banks)
-            for acc in trace:
-                arrival = timer.advance_compute(acc.gap)
-                res = l2.access(0, acc.line)
+            for gap, line in zip(trace.gaps.tolist(), trace.lines.tolist()):
+                arrival = timer.advance_compute(gap)
+                res = l2.access(0, line)
                 delay = contention.bank_delay(res.bank, arrival)
                 latency = lat.bank_latency(0, res.bank) + delay
                 if not res.hit:

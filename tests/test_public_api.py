@@ -1,6 +1,9 @@
-"""The documented public API: imports, __all__ hygiene, README snippets."""
+"""The documented public API: imports, __all__ hygiene, README snippets,
+examples."""
 
 import importlib
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +11,6 @@ PACKAGES = [
     "repro",
     "repro.analysis",
     "repro.cache",
-    "repro.coherence",
     "repro.config",
     "repro.cpu",
     "repro.fabric",
@@ -37,6 +39,17 @@ def test_all_entries_resolve(name):
     mod = importlib.import_module(name)
     for symbol in getattr(mod, "__all__", []):
         assert hasattr(mod, symbol), f"{name}.__all__ lists missing {symbol}"
+
+
+EXAMPLES = sorted((Path(__file__).parent.parent / "examples").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.name)
+def test_example_imports(path):
+    """Each example's module body runs (its imports resolve); ``main()``
+    does not, since the module is not run as ``__main__``."""
+    namespace = runpy.run_path(str(path), run_name="example")
+    assert callable(namespace["main"])
 
 
 def test_version():

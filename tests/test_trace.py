@@ -3,33 +3,26 @@
 import numpy as np
 import pytest
 
-from repro.mem.trace import MemoryAccess, Trace, interleave_round_robin
+from repro.mem.trace import Trace
 
 
 def make_trace(n=10):
     return Trace.from_records([(i * 64, i % 2 == 0, i) for i in range(n)])
 
 
+def row(t, i):
+    return int(t.addresses[i]), bool(t.is_write[i]), int(t.gaps[i])
+
+
 class TestTrace:
     def test_round_trip_records(self):
         t = make_trace(5)
         assert len(t) == 5
-        assert t[3] == MemoryAccess(3 * 64, False, 3)
-
-    def test_iteration_matches_indexing(self):
-        t = make_trace(7)
-        assert list(t) == [t[i] for i in range(7)]
+        assert row(t, 3) == (3 * 64, False, 3)
 
     def test_lines_vectorised(self):
         t = make_trace(5)
         assert np.array_equal(t.lines, np.arange(5, dtype=np.uint64))
-
-    def test_line_property_of_access(self):
-        assert MemoryAccess(130, False, 0).line == 2
-
-    def test_instruction_count(self):
-        t = make_trace(4)  # gaps 0+1+2+3 plus 4 memory ops
-        assert t.instruction_count == 6 + 4
 
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -49,74 +42,17 @@ class TestTrace:
         assert t.is_write.dtype == np.bool_
         assert t.gaps.dtype == np.uint32
 
-    def test_slice(self):
-        t = make_trace(10)
-        s = t.slice(2, 5)
-        assert len(s) == 3
-        assert s[0] == t[2]
-
     def test_concat(self):
         a, b = make_trace(3), make_trace(2)
         c = a.concat(b)
         assert len(c) == 5
-        assert c[3] == b[0]
-
-    def test_with_offset(self):
-        t = make_trace(3).with_offset(1 << 20)
-        assert t[0].address == 1 << 20
-        with pytest.raises(ValueError):
-            t.with_offset(-1)
+        assert row(c, 3) == row(b, 0)
 
     def test_footprint_lines(self):
-        t = Trace.from_lines([1, 2, 2, 3, 1])
+        t = Trace.from_records([(line * 64, False, 0) for line in (1, 2, 2, 3, 1)])
         assert t.footprint_lines() == 3
-
-    def test_from_lines_gap(self):
-        t = Trace.from_lines([5, 6], gap=9)
-        assert t[0].gap == 9
-        assert t[0].address == 5 * 64
-
-    def test_save_load(self, tmp_path):
-        t = make_trace(20)
-        path = tmp_path / "t.npz"
-        t.save(path)
-        loaded = Trace.load(path)
-        assert np.array_equal(loaded.addresses, t.addresses)
-        assert np.array_equal(loaded.is_write, t.is_write)
-        assert np.array_equal(loaded.gaps, t.gaps)
 
     def test_empty_trace(self):
         t = Trace.from_records([])
         assert len(t) == 0
-        assert t.instruction_count == 0
-
-    def test_text_round_trip(self, tmp_path):
-        t = make_trace(15)
-        path = tmp_path / "t.trc"
-        t.save_text(path)
-        loaded = Trace.load_text(path)
-        assert list(loaded) == list(t)
-
-    def test_text_format_tolerates_comments_and_default_gap(self, tmp_path):
-        path = tmp_path / "hand.trc"
-        path.write_text("# comment\n\nR 40 3\nW ff\n")
-        t = Trace.load_text(path)
-        assert t[0] == MemoryAccess(0x40, False, 3)
-        assert t[1] == MemoryAccess(0xFF, True, 0)
-
-    def test_text_format_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.trc"
-        path.write_text("X 40 1\n")
-        with pytest.raises(ValueError, match="bad record"):
-            Trace.load_text(path)
-
-
-class TestInterleave:
-    def test_round_robin_order(self):
-        a = Trace.from_lines([1, 2])
-        b = Trace.from_lines([10])
-        out = interleave_round_robin([a, b])
-        assert [(c, acc.line) for c, acc in out] == [(0, 1), (1, 10), (0, 2)]
-
-    def test_empty_inputs(self):
-        assert interleave_round_robin([Trace.from_records([])]) == []
+        assert t.footprint_lines() == 0

@@ -83,6 +83,19 @@ class TestSymbols:
         resolved = project.resolve("pkg.user", "target")
         assert resolved is not None and resolved.qualname == "pkg.base.target"
 
+    def test_relative_import_in_package_init_anchors_on_itself(self, tmp_path):
+        # in ``repro/sub/__init__.py``, ``.errors`` is ``repro.sub.errors``
+        project = project_of(tmp_path, {
+            "repro/__init__.py": "",
+            "repro/sub/__init__.py": "from .errors import SubError\n",
+            "repro/sub/errors.py": "class SubError(Exception):\n    pass\n",
+            "repro/cli.py": "from repro.sub import SubError\n",
+        })
+        resolved = project.resolve("repro.cli", "SubError")
+        assert resolved is not None
+        assert resolved.qualname == "repro.sub.errors.SubError"
+        assert resolved.kind == "class"
+
     def test_external_names_are_tagged_external(self, tmp_path):
         project = project_of(tmp_path, {
             "pkg/__init__.py": "",
@@ -493,6 +506,17 @@ class TestErr001:
             "def helper(x):\n"
             "    raise ConfigError('bad')\n"
         ))
+        assert rules_of(result) == []
+
+    def test_error_reexported_by_package_init_is_clean(self, tmp_path):
+        files = dict(ERR_FIXTURE)
+        files["repro/__init__.py"] = "from .errors import ConfigError\n"
+        files["repro/cli.py"] = (
+            "from repro import ConfigError\n\n"
+            "def cmd_run(args):\n"
+            "    raise ConfigError('bad')\n"
+        )
+        result = analyze(tmp_path, files)
         assert rules_of(result) == []
 
     def test_unreachable_raise_is_clean(self, tmp_path):
