@@ -407,8 +407,11 @@ def run_monte_carlo(
     policies (must be :func:`~repro.partitioning.registry.analytic_policies`)
     so the result can rank them (:meth:`MonteCarloResult.policy_ranking`).
     The extra per-point payload joins the checkpoint metadata, so a ranked
-    sweep never silently resumes a plain one (or vice versa) — plain
-    checkpoints keep their exact key set.
+    sweep never silently resumes a plain one (or vice versa) — a plain
+    checkpoint's metadata has no ``policies`` key.  The metadata names the
+    machine down to ``sets_per_bank``, so a snapshot taken at another
+    scale is refused as well, and so is one written before that key
+    existed.
     """
     cfg = config or scaled_config()
     if policies:
@@ -431,6 +434,7 @@ def run_monte_carlo(
         "seed": seed,
         "num_cores": cfg.num_cores,
         "num_banks": cfg.l2.num_banks,
+        "sets_per_bank": cfg.l2.sets_per_bank,
         "bank_ways": cfg.l2.bank_ways,
         "min_ways": min_ways,
         "profile_accesses": profile_accesses,

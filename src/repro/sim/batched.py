@@ -12,10 +12,11 @@ Bit-identity with the reference loop is a hard requirement (it is gated by
 ``tests/test_sim_backends.py``).  The rules that make it hold:
 
 * **Event order.** The reference heap orders events by ``(arrival, core)``
-  tuples.  The engine keeps a per-core next-arrival array and picks the
-  lexicographic ``(t, i)`` minimum each iteration — a strict ``<`` scan in
-  core order resolves ties to the lowest core, the exact order the heap
-  pops.
+  tuples.  The engine keeps one heap of the same tuples, one entry per
+  running core: each access ends with a single ``heappushpop`` that
+  schedules the core's next access and returns the globally earliest
+  event, ties going to the lowest core exactly as the reference heap
+  pops them.
 * **Float arithmetic.** Every IEEE operation of the reference path is
   reproduced with the same operands in the same association: queue delays
   (``max(0.0, next_free - arrival)``), latency accumulation
@@ -41,11 +42,12 @@ Bit-identity with the reference loop is a hard requirement (it is gated by
   arrays: first empty way, else the lowest LRU stamp with ties to the
   lowest way.  Each core's candidate ways per bank are precomputed as a
   *span*: ``True`` when the core owns the whole set (one
-  ``list.index``/``min`` over the full slice), ``(lo, hi)`` for a partial
-  contiguous range (the same scan over the sub-slice), and only a
-  fragmented way mask — never produced by the current partitioners —
-  falls back to the explicit per-way loop.  All three reproduce
-  :meth:`CacheSet.insert` exactly.
+  ``list.index``/``min`` over the full slice) and ``(lo, hi)`` for a
+  partial range (the same scan over the sub-slice); both reproduce
+  :meth:`CacheSet.insert` exactly.  Every partitioner hands out
+  contiguous way ranges, so a way mask with a gap is refused with
+  :class:`~repro.errors.ConfigError` when the partition is read, before
+  any access runs.
 * **Shared mutable state.** The engine mutates the round-robin cursors and
   the per-core NucaStats arrays in place — the same objects the reference
   path uses — and checks the flat cache image back into the ``CacheSet``
@@ -62,6 +64,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.cpu.core import CoreSnapshot
+from repro.errors import ConfigError
+from repro.util.bits import LINE_SHIFT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.system import CMPSystem
@@ -71,6 +75,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CHUNK = 8192
 
 _INF = float("inf")
+
+#: address -> line-number shift, as a numpy scalar so a shifted uint64
+#: column stays uint64 (the dtype of ``Trace.lines``)
+_LINE_SHIFT = np.uint64(LINE_SHIFT)
 
 # placement-mode codes for the per-access dispatch
 _SH_DNUCA, _SH_HASH, _SH_PAR, _P_AGG, _P_DNUCA = range(5)
@@ -199,8 +207,9 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
     cacc = [t.accesses for t in timers]
     cmlp = [t.mlp for t in timers]
 
-    # traces: numpy columns; scalar access goes through tolist() chunks
-    lines_np = system._lines
+    # traces: numpy columns; scalar access goes through tolist() chunks,
+    # and line numbers are shifted out of the addresses chunk by chunk
+    addrs_np = system._addrs
     writes_np = system._writes
     comp_np = [
         g.astype(np.float64) * timers[c].nonmem_cpi
@@ -229,7 +238,7 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
 
     def load_chunk(cc: int, start: int) -> None:
         stop_i = min(start + CHUNK, counts[cc])
-        clines[cc] = lines_np[cc][start:stop_i].tolist()
+        clines[cc] = (addrs_np[cc][start:stop_i] >> _LINE_SHIFT).tolist()
         cwrites[cc] = writes_np[cc][start:stop_i].tolist()
         ccomp[cc] = comp_np[cc][start:stop_i].tolist()
         cb_start[cc] = start
@@ -252,13 +261,12 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
     marked = [s is not None for s in system._start_snaps]
 
     # -- partition mirrors (refreshed after every due controller tick) -------
-    cands: list[list[tuple[int, ...]]] = []
     chains: dict[int, list[int]] = {}
     rr: dict[int, int] = {}
     l1banks: dict[int, list[int]] = {}
     l2bank: dict[int, int] = {}
     cpos: list[list[int]] = []
-    cspan: list[list[tuple[int, int] | None]] = []
+    cspan: list[list[tuple[int, int] | bool | None]] = []
     clens: list[int] = []
     placement_hash = l2.placement == "hash"
     # static under shared dnuca: distance rank of each bank per core
@@ -268,24 +276,29 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
     ]
 
     def refresh_partition() -> None:
-        nonlocal cands, chains, rr, l1banks, l2bank, cpos, cspan, clens
-        cands = [
-            [bank.candidates_for(cc) for cc in range(ncores)] for bank in banks
-        ]
-        # candidates_for enumerates ways ascending, so a candidate set
-        # that is a contiguous range victim-scans at C speed over the flat
-        # slice (first empty, else min stamp); only a fragmented way mask
-        # (never produced by the current partitioners) falls back to the
-        # per-way loop
-        cspan = [
-            [
-                (True if len(cand) == ways else (cand[0], cand[-1] + 1))
-                if cand and cand[-1] - cand[0] + 1 == len(cand)
-                else None
-                for cand in row
-            ]
-            for row in cands
-        ]
+        nonlocal chains, rr, l1banks, l2bank, cpos, cspan, clens
+        # candidates_for enumerates ways ascending, and every partitioner
+        # hands out contiguous way ranges, so each core's candidates in a
+        # bank are the whole set (True), one (lo, hi) slice, or nothing
+        # (None: a fill there raises PermissionError, as in the reference)
+        cspan = []
+        for bank in banks:
+            row: list[tuple[int, int] | bool | None] = []
+            for cc in range(ncores):
+                cand = bank.candidates_for(cc)
+                if not cand:
+                    row.append(None)
+                elif cand[-1] - cand[0] + 1 != len(cand):
+                    raise ConfigError(
+                        f"core {cc}'s ways in bank {bank.bank_id} are not "
+                        f"contiguous ({cand}); the batched engine only "
+                        f"victim-scans contiguous way ranges"
+                    )
+                elif len(cand) == ways:
+                    row.append(True)
+                else:
+                    row.append((cand[0], cand[-1] + 1))
+            cspan.append(row)
         if l2._mode == "partitioned":
             chains = l2._chain
             rr = l2._rr
@@ -335,20 +348,7 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                 sseg = fstamps[lo:hi]
                 slot = lo + sseg.index(min(sseg))
         else:
-            cand = cands[b][core]
-            if not cand:
-                raise PermissionError(f"core {core} owns no ways in bank {b}")
-            slot = -1
-            best = None
-            for w in cand:
-                sl = gbase + w
-                if ftags[sl] == -1:
-                    slot = sl
-                    break
-                s = fstamps[sl]
-                if best is None or s < best:
-                    best = s
-                    slot = sl
+            raise PermissionError(f"core {core} owns no ways in bank {b}")
         old = ftags[slot]
         if old != -1:
             ev = (old, fdirty[slot], fowners[slot])
@@ -397,20 +397,7 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                 sseg = fstamps[lo:hi]
                 slot = lo + sseg.index(min(sseg))
         else:
-            cand = cands[b][core]
-            if not cand:
-                raise PermissionError(f"core {core} owns no ways in bank {b}")
-            slot = -1
-            best = None
-            for w in cand:
-                sl = gbase + w
-                if ftags[sl] == -1:
-                    slot = sl
-                    break
-                s = fstamps[sl]
-                if best is None or s < best:
-                    best = s
-                    slot = sl
+            raise PermissionError(f"core {core} owns no ways in bank {b}")
         old = ftags[slot]
         bm = bmaps[b]
         if old != -1:
@@ -534,7 +521,9 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
             end = cur_pos if cc == cur_core else poss[cc]
             start = pend[cc]
             if end > start:
-                profilers[cc].observe_many(lines_np[cc][start:end])
+                profilers[cc].observe_many(
+                    addrs_np[cc][start:end] >> _LINE_SHIFT
+                )
                 pend[cc] = end
 
     def check_in() -> None:
@@ -667,7 +656,6 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
     cwrites_ = cwrites
     ccomp_ = ccomp
     cb_start_ = cb_start
-    cands_ = cands
     cspan_ = cspan
     cpos_ = cpos
     clens_ = clens
@@ -734,7 +722,6 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
             barrier = next_barrier()
             # a due tick rebinds the partition mirrors: refresh the local
             # aliases (no-ops otherwise)
-            cands_ = cands
             cspan_ = cspan
             cpos_ = cpos
             clens_ = clens
@@ -797,22 +784,9 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                             sseg = fstamps_[lo:hi]
                             slot = lo + sseg.index(min(sseg))
                     else:
-                        cand = cands_[target][c]
-                        if not cand:
-                            raise PermissionError(
-                                f"core {c} owns no ways in bank {target}"
-                            )
-                        slot = -1
-                        best = _INF
-                        for w in cand:
-                            sl = gbase + w
-                            if ftags_[sl] == -1:
-                                slot = sl
-                                break
-                            s = fstamps_[sl]
-                            if s < best:
-                                best = s
-                                slot = sl
+                        raise PermissionError(
+                            f"core {c} owns no ways in bank {target}"
+                        )
                     dtag = ftags_[slot]
                     if dtag != -1:
                         ddirty = fdirty_[slot]
@@ -857,22 +831,9 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                                 sseg = fstamps_[lo:hi]
                                 slot = lo + sseg.index(min(sseg))
                         else:
-                            cand = cands_[home][c]
-                            if not cand:
-                                raise PermissionError(
-                                    f"core {c} owns no ways in bank {home}"
-                                )
-                            slot = -1
-                            best = _INF
-                            for w in cand:
-                                sl = gbase + w
-                                if ftags_[sl] == -1:
-                                    slot = sl
-                                    break
-                                s = fstamps_[sl]
-                                if s < best:
-                                    best = s
-                                    slot = sl
+                            raise PermissionError(
+                                f"core {c} owns no ways in bank {home}"
+                            )
                         old = ftags_[slot]
                         if old != -1:
                             odirty = fdirty_[slot]
@@ -929,22 +890,9 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                         sseg = fstamps_[lo:hi]
                         slot = lo + sseg.index(min(sseg))
                 else:
-                    cand = cands_[b][c]
-                    if not cand:
-                        raise PermissionError(
-                            f"core {c} owns no ways in bank {b}"
-                        )
-                    slot = -1
-                    best = _INF
-                    for w in cand:
-                        sl = gbase + w
-                        if ftags_[sl] == -1:
-                            slot = sl
-                            break
-                        s = fstamps_[sl]
-                        if s < best:
-                            best = s
-                            slot = sl
+                    raise PermissionError(
+                        f"core {c} owns no ways in bank {b}"
+                    )
                 old = ftags_[slot]
                 if old != -1:
                     odirty = fdirty_[slot]
@@ -997,22 +945,9 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                                 sseg = fstamps_[lo:hi]
                                 slot = lo + sseg.index(min(sseg))
                         else:
-                            cand = cands_[b][c]
-                            if not cand:
-                                raise PermissionError(
-                                    f"core {c} owns no ways in bank {b}"
-                                )
-                            slot = -1
-                            best = _INF
-                            for w in cand:
-                                sl = gbase + w
-                                if ftags_[sl] == -1:
-                                    slot = sl
-                                    break
-                                s = fstamps_[sl]
-                                if s < best:
-                                    best = s
-                                    slot = sl
+                            raise PermissionError(
+                                f"core {c} owns no ways in bank {b}"
+                            )
                         old2 = ftags_[slot]
                         if old2 != -1:
                             odirty2 = fdirty_[slot]

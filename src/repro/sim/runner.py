@@ -14,12 +14,15 @@ co-runners.
 
 from __future__ import annotations
 
+import functools
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from repro.config import SystemConfig, scaled_config
 from repro.errors import CheckpointCorrupt, ConfigError
 from repro.fabric.supervisor import Supervisor
+from repro.mem.trace import Trace
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.faults import FaultPlan
 from repro.sim.stats import SystemResult
@@ -83,9 +86,62 @@ class RunSettings:
     #: :mod:`repro.sim.batched`).
     sim_backend: str = "reference"
 
+    def __post_init__(self) -> None:
+        # a NaN or out-of-range window would otherwise run to a result of
+        # zeros or escape build_system as a bare ValueError/OverflowError
+        for name, in_range, wanted in (
+            ("duration_cycles", self.duration_cycles > 0, "positive"),
+            ("warmup_fraction", 0 <= self.warmup_fraction < 1, "in [0, 1)"),
+            ("trace_margin", self.trace_margin > 0, "positive"),
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and in_range):
+                raise ConfigError(
+                    f"{name} must be finite and {wanted}, got {value!r}"
+                )
+
     @property
     def warmup_cycles(self) -> float:
         return self.duration_cycles * self.warmup_fraction
+
+
+def trace_length(
+    spec: WorkloadSpec, config: SystemConfig, settings: RunSettings
+) -> int:
+    """Accesses one core's trace needs to stay busy for the whole run:
+    the estimated access rate over ``duration_cycles``, with margin."""
+    rate = estimate_access_rate(spec, config)
+    return int(settings.duration_cycles * rate * settings.trace_margin) + 1
+
+
+@functools.lru_cache(maxsize=1)
+def _mix_traces(
+    specs: tuple[WorkloadSpec, ...],
+    lengths: tuple[int, ...],
+    sets_per_bank: int,
+    seed: int,
+) -> tuple[Trace, ...]:
+    """One mix's per-core traces, shared by every scheme of the mix.
+
+    The key is everything :func:`generate_trace` and
+    :data:`CORE_ADDRESS_STRIDE` read; one entry suffices because callers
+    build a mix's schemes back to back (DESIGN.md §10.7).  The columns
+    are read-only because every caller gets the same arrays.
+    """
+    traces = tuple(
+        generate_trace(
+            spec,
+            length,
+            sets_per_bank,
+            seed=seed + core,
+            base_address=core * CORE_ADDRESS_STRIDE,
+        )
+        for core, (spec, length) in enumerate(zip(specs, lengths))
+    )
+    for trace in traces:
+        for column in (trace.addresses, trace.is_write, trace.gaps):
+            column.flags.writeable = False
+    return traces
 
 
 def build_system(
@@ -102,21 +158,12 @@ def build_system(
         raise ConfigError(
             f"mix has {len(specs)} workloads, machine has {cfg.num_cores} cores"
         )
-    traces = [
-        generate_trace(
-            spec,
-            int(
-                st.duration_cycles
-                * estimate_access_rate(spec, cfg)
-                * st.trace_margin
-            )
-            + 1,
-            cfg.l2.sets_per_bank,
-            seed=st.seed + core,
-            base_address=core * CORE_ADDRESS_STRIDE,
-        )
-        for core, spec in enumerate(specs)
-    ]
+    traces = _mix_traces(
+        specs,
+        tuple(trace_length(spec, cfg, st) for spec in specs),
+        cfg.l2.sets_per_bank,
+        st.seed,
+    )
     system = CMPSystem(
         cfg,
         specs,
@@ -278,8 +325,9 @@ def run_sweep(
     ``resume=True`` a killed sweep restarts after its last completed mix and
     reproduces the uninterrupted sweep exactly, because every mix's
     simulation is fully determined by (mix, config, settings).  A snapshot
-    from different parameters raises
-    :class:`~repro.errors.CheckpointMismatchError`.
+    from different parameters — any :class:`~repro.config.SystemConfig` or
+    :class:`RunSettings` field that can change a result — raises
+    :class:`~repro.errors.CheckpointMismatchError` naming the fields.
 
     ``jobs`` fans the independent (mix, scheme) simulations out over worker
     processes (one :class:`~repro.fabric.supervisor.Supervisor`, fail-fast);
@@ -289,14 +337,25 @@ def run_sweep(
     """
     cfg = config or scaled_config()
     st = settings or RunSettings()
-    meta = {
+    meta: dict = {
         "schemes": list(schemes),
         "mixes": [list(m.names) for m in mixes],
-        "seed": st.seed,
-        "duration_cycles": st.duration_cycles,
-        "num_cores": cfg.num_cores,
-        "epoch_cycles": cfg.epoch_cycles,
     }
+    # one key per field that can change a result, dotted below the config's
+    # groups, so a mismatch names the field; what only schedules snapshots,
+    # checks invariants, traces or picks the engine is left out
+    for group, value in asdict(cfg).items():
+        if isinstance(value, dict):
+            meta.update((f"{group}.{k}", v) for k, v in value.items())
+        else:
+            meta[group] = value
+    del meta["resilience.checkpoint_every"], meta["resilience.sanitize"]
+    meta.update(
+        (f.name, getattr(st, f.name)) for f in fields(st)
+        if f.name not in ("sanitize", "trace", "sim_backend")
+    )
+    if st.fault_plan is not None:
+        meta["fault_plan"] = repr(st.fault_plan)
     ckpt = SweepCheckpoint(
         checkpoint_path, "detailed-sweep", meta,
         every=cfg.resilience.checkpoint_every, resume=resume,

@@ -23,6 +23,7 @@ silently removing the contention being studied.
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Sequence
 
 from repro.cache.nuca import NucaL2
@@ -43,6 +44,7 @@ from repro.sim.controller import EpochController
 from repro.sim.stats import CoreResult, SystemResult
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import Tracer
+from repro.util.bits import LINE_SHIFT
 from repro.workloads.synthetic import WorkloadSpec
 
 from repro.errors import ConfigError
@@ -182,9 +184,10 @@ class CMPSystem:
                 regulator=self.regulator,
             )
 
-        # columnar trace state for the event loop: numpy views shared with
-        # the Trace objects, so long traces are never materialised twice
-        self._lines = [t.lines for t in traces]
+        # columnar trace state for the event loop: the Trace objects' own
+        # arrays, never copied (build_system shares one trace set among a
+        # mix's schemes); line numbers are derived where they are read
+        self._addrs = [t.addresses for t in traces]
         self._writes = [t.is_write for t in traces]
         self._gaps = [t.gaps for t in traces]
         self._pos = [0] * config.num_cores
@@ -224,8 +227,10 @@ class CMPSystem:
         """Open each core's statistics window at ``warmup_cycles`` simulated
         cycles (the paper warms its caches before the measured slice) and
         optionally stop the whole run at ``max_cycles``."""
-        if warmup_cycles < 0:
-            raise ConfigError("warmup must be non-negative")
+        if not (math.isfinite(warmup_cycles) and warmup_cycles >= 0):
+            raise ConfigError("warmup must be finite and non-negative")
+        if max_cycles is not None and not math.isfinite(max_cycles):
+            raise ConfigError("max_cycles must be finite")
         if max_cycles is not None and max_cycles <= warmup_cycles:
             raise ConfigError("max_cycles must exceed the warmup")
         self.warmup_cycles = float(warmup_cycles)
@@ -311,7 +316,7 @@ class CMPSystem:
 
     def _process(self, core: int, arrival: float) -> None:
         pos = self._pos[core]
-        line = int(self._lines[core][pos])
+        line = int(self._addrs[core][pos]) >> LINE_SHIFT
         is_write = bool(self._writes[core][pos])
         if self.profilers is not None:
             self.profilers[core].observe(line)

@@ -294,6 +294,18 @@ class TestMonteCarloJobs:
         # still a CheckpointCorrupt, so pre-existing handlers keep working
         assert isinstance(exc_info.value, CheckpointCorrupt)
 
+    def test_resume_at_another_scale_is_refused(self, tmp_path, curves_by_name):
+        # scale changes only the sets per bank; its points must not be
+        # spliced into a sweep of the other machine
+        path = str(tmp_path / "mc.json")
+        run_monte_carlo(4, CFG, curves=curves_by_name, seed=5,
+                        checkpoint_path=path)
+        other = scaled_config(16, epoch_cycles=CFG.epoch_cycles)
+        with pytest.raises(CheckpointMismatchError) as exc_info:
+            run_monte_carlo(6, other, curves=curves_by_name, seed=5,
+                            checkpoint_path=path, resume=True)
+        assert exc_info.value.mismatched == ("sets_per_bank",)
+
 
 class TestMonteCarloResultViews:
     def _result(self):
@@ -388,6 +400,7 @@ class TestMonteCarloResultViews:
         ckpt = tmp_path / "mc.json"
         meta = {
             "seed": 5, "num_cores": CFG.num_cores, "num_banks": CFG.l2.num_banks,
+            "sets_per_bank": CFG.l2.sets_per_bank,
             "bank_ways": CFG.l2.bank_ways, "min_ways": 1,
             "profile_accesses": 60_000,
         }

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.profiling.msa import MSAProfiler
 from repro.resilience import (
     CheckpointCorrupt,
     CheckpointCorruptError,
+    CheckpointMismatchError,
     ConfigError,
     DecisionGuard,
     DegradedMode,
@@ -671,6 +673,47 @@ class TestDetailedSweepResume:
                 ]
                 assert ra.total_misses == rb.total_misses
                 assert ra.epochs == rb.epochs
+
+    def _sweep(self, path, cfg=CFG, resume=False, **change):
+        settings = replace(
+            RunSettings(duration_cycles=100_000.0, seed=3), **change
+        )
+        return run_sweep(TABLE_III_SETS[:1], cfg, settings,
+                         schemes=("equal-partitions",),
+                         checkpoint_path=path, resume=resume)
+
+    @pytest.mark.parametrize("cfg,change,keys", [
+        (scaled_config(16, epoch_cycles=CFG.epoch_cycles), {},
+         ("l2.sets_per_bank", "profiler.set_sampling")),
+        (replace(CFG, l2=replace(CFG.l2, num_banks=32)), {},
+         ("l2.num_banks",)),
+        (replace(CFG, memory=replace(CFG.memory, latency_cycles=300)), {},
+         ("memory.latency_cycles",)),
+        (CFG, {"warmup_fraction": 0.25}, ("warmup_fraction",)),
+        (CFG, {"placement": "parallel"}, ("placement",)),
+        (CFG, {"fault_plan": FaultPlan.parse("0:zero@0")}, ("fault_plan",)),
+    ], ids=["scale", "num_banks", "memory_latency", "warmup_fraction",
+            "placement", "fault_plan"])
+    def test_resume_with_other_parameters_is_refused(
+        self, tmp_path, cfg, change, keys
+    ):
+        path = str(tmp_path / "sweep.json")
+        self._sweep(path)
+        with pytest.raises(CheckpointMismatchError) as exc_info:
+            self._sweep(path, cfg, resume=True, **change)
+        assert exc_info.value.mismatched == keys
+
+    def test_resume_ignores_what_cannot_change_a_result(self, tmp_path):
+        path = str(tmp_path / "sweep.json")
+        first = self._sweep(path)
+        cfg = replace(CFG, resilience=replace(
+            CFG.resilience, checkpoint_every=1, sanitize=True
+        ))
+        again = self._sweep(path, cfg, resume=True, sim_backend="batched",
+                            sanitize=True, trace=True)
+        assert [c.results["equal-partitions"].to_dict() for c in again] == [
+            c.results["equal-partitions"].to_dict() for c in first
+        ]
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ co-scheduling, measurement windows, end-to-end partitioning behaviour."""
 import pytest
 
 from repro.config import scaled_config
+from repro.errors import ConfigError
 from repro.sim.runner import (
     RunSettings,
     build_system,
@@ -17,6 +18,7 @@ from repro.workloads import Mix, generate_trace, get
 CFG = scaled_config(32, epoch_cycles=150_000)  # tiny 64-set banks for speed
 FAST = RunSettings(duration_cycles=500_000.0, seed=3)
 MIX = Mix(("gzip", "eon", "mcf", "galgel", "perlbmk", "crafty", "gap", "swim"))
+NAN, INF = float("nan"), float("inf")
 
 
 def small_system(scheme="equal-partitions", mix=MIX, settings=FAST):
@@ -109,6 +111,44 @@ class TestEventLoop:
             sys_.set_measurement_window(-1.0)
         with pytest.raises(ValueError):
             sys_.set_measurement_window(100.0, 50.0)
+
+    @pytest.mark.parametrize("warmup,max_cycles", [
+        (NAN, None),
+        (NAN, 100.0),
+        (0.0, INF),
+        (0.0, NAN),
+    ], ids=["nan-warmup", "nan-warmup-with-max", "inf-max", "nan-max"])
+    def test_non_finite_window_rejected(self, warmup, max_cycles):
+        with pytest.raises(ConfigError):
+            small_system().set_measurement_window(warmup, max_cycles)
+
+
+class TestRunSettingsValidation:
+    """A malformed window used to run to a result of zeros (NaN warmup,
+    zero trace margin) or escape build_system as a bare ValueError or
+    OverflowError (NaN or infinite duration)."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("duration_cycles", NAN),
+        ("duration_cycles", INF),
+        ("duration_cycles", 0.0),
+        ("duration_cycles", -1.0),
+        ("warmup_fraction", NAN),
+        ("warmup_fraction", INF),
+        ("warmup_fraction", 1.0),
+        ("warmup_fraction", -0.1),
+        ("trace_margin", 0.0),
+        ("trace_margin", -1.0),
+        ("trace_margin", NAN),
+        ("trace_margin", INF),
+    ])
+    def test_rejected_with_a_typed_error(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RunSettings(**{field: value})
+
+    def test_edges_accepted(self):
+        RunSettings(duration_cycles=1.0, warmup_fraction=0.0, trace_margin=1e-9)
+        RunSettings(warmup_fraction=0.999)
 
 
 class TestDynamicController:

@@ -17,6 +17,12 @@ import random
 import pytest
 
 from repro.cache.nuca import NucaStats
+from repro.cache.partition_map import (
+    BankAllocation,
+    CorePartition,
+    PartitionMap,
+    equal_partition_map,
+)
 from repro.config import scaled_config
 from repro.errors import ConfigError
 from repro.profiling.batched import MIN_BATCH
@@ -146,6 +152,40 @@ class TestSampledFlushes:
             assert batches and min(batches) >= MIN_BATCH
         else:
             assert batches == []
+
+
+class TestFragmentedWayMask:
+    """Every partitioner hands out contiguous way ranges, so the batched
+    engine scans only those and refuses a mask with gaps up front."""
+
+    def _with_gapped_local_bank(self, backend):
+        system = build_system(
+            MIX, "equal-partitions", CFG,
+            RunSettings(duration_cycles=100_000.0, seed=2, sim_backend=backend),
+        )
+        equal = equal_partition_map(
+            CFG.num_cores, CFG.l2.num_banks, CFG.l2.bank_ways
+        )
+        pmap = PartitionMap()
+        for core, part in equal.partitions.items():
+            if core == 0:  # the even ways of its Local bank only
+                local, *centers = part.level1
+                evens = tuple(range(0, CFG.l2.bank_ways, 2))
+                part = CorePartition(
+                    0, (BankAllocation(local.bank, evens), *centers)
+                )
+            pmap.add(part)
+        system.l2.apply_partition(pmap)
+        return system
+
+    def test_batched_engine_refuses_a_gapped_mask(self):
+        system = self._with_gapped_local_bank("batched")
+        with pytest.raises(ConfigError, match="core 0.*bank 0.*contiguous"):
+            system.run()
+
+    def test_reference_engine_runs_it(self):
+        result = self._with_gapped_local_bank("reference").run()
+        assert result.cores[0].l2_accesses > 0
 
 
 class TestWindowBoundaries:
