@@ -426,10 +426,6 @@ def run_monte_carlo(
                 )
     else:
         policies = None
-    if curves is None:
-        curves = collect_profiles(
-            config=cfg, accesses=profile_accesses, cache=profile_cache
-        )
     meta = {
         "seed": seed,
         "num_cores": cfg.num_cores,
@@ -450,6 +446,12 @@ def run_monte_carlo(
     result = MonteCarloResult(
         points=_parse_points(ckpt.completed[:num_mixes], str(checkpoint_path))
     )
+    # profiled only once the snapshot is accepted: its metadata does not
+    # depend on the curves, so a refused resume fails before this pass
+    if curves is None:
+        curves = collect_profiles(
+            config=cfg, accesses=profile_accesses, cache=profile_cache
+        )
     mixes = random_mixes(num_mixes, cfg.num_cores, seed=seed)
     if tracer is not None:
         tracer.emit_run_meta(

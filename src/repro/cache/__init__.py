@@ -1,4 +1,4 @@
-"""Cache substrate: LRU way-partitioned sets, banks, the NUCA L2."""
+"""Cache substrate: the flat cache image, way-partitioned banks, the NUCA L2."""
 
 from repro.cache.aggregation import (
     SCHEMES,
@@ -10,8 +10,7 @@ from repro.cache.aggregation import (
     ParallelAggregation,
     make_aggregation,
 )
-from repro.cache.bank import BankStats, CacheBank
-from repro.cache.cacheset import CacheSet, Eviction
+from repro.cache.bank import BankStats, CacheBank, CacheImage, Eviction
 from repro.cache.nuca import AccessResult, NucaL2, NucaStats
 from repro.cache.partition_map import (
     BankAllocation,
@@ -29,7 +28,7 @@ __all__ = [
     "BankAllocation",
     "BankStats",
     "CacheBank",
-    "CacheSet",
+    "CacheImage",
     "CascadeAggregation",
     "CorePartition",
     "Eviction",

@@ -27,8 +27,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from repro.cache.cacheset import CacheSet
-from repro.errors import SimulationInvariantError
+from repro.cache.bank import CacheBank, CacheImage
 
 
 @dataclass
@@ -142,22 +141,18 @@ class AddressHashAggregation(AggregatedCache):
 
     def __init__(self, num_banks: int, bank_ways: int, num_sets: int) -> None:
         super().__init__(num_banks, bank_ways, num_sets)
-        self._banks = [
-            [CacheSet(bank_ways) for _ in range(num_sets)]
-            for _ in range(num_banks)
-        ]
-        self._all_ways = tuple(range(bank_ways))
+        self._banks = CacheImage(num_banks, num_sets, bank_ways).banks()
         self._set_bits = num_sets.bit_length() - 1
 
     def bank_of(self, line: int) -> int:
         return (line >> self._set_bits) % self.num_banks
 
     def _access(self, line: int) -> bool:
-        cset = self._banks[self.bank_of(line)][self.set_index(line)]
+        bank = self._banks[self.bank_of(line)]
         self.stats.directory_probes += 1
-        if cset.lookup(line) is not None:
+        if bank.access(0, line):
             return True
-        cset.insert(line, 0, self._all_ways)
+        bank.fill(0, line)
         return False
 
 
@@ -169,33 +164,20 @@ class ParallelAggregation(AggregatedCache):
 
     def __init__(self, num_banks: int, bank_ways: int, num_sets: int) -> None:
         super().__init__(num_banks, bank_ways, num_sets)
-        self._banks = [
-            [CacheSet(bank_ways) for _ in range(num_sets)]
-            for _ in range(num_banks)
-        ]
-        self._all_ways = tuple(range(bank_ways))
-        self._where: dict[int, int] = {}
+        self._banks = CacheImage(num_banks, num_sets, bank_ways).banks()
+        self._image = self._banks[0].image
         self._rr = 0
 
     def _access(self, line: int) -> bool:
         # the directory probes every bank's tag array in parallel
         self.stats.directory_probes += self.num_banks
-        home = self._where.get(line)
-        si = self.set_index(line)
-        if home is not None:
-            hit = self._banks[home][si].lookup(line)
-            if hit is None:
-                raise SimulationInvariantError(
-                    f"directory says line {line} is in bank {home}, but the "
-                    f"set lookup missed"
-                )
+        slot = self._image.where.get(line)
+        if slot is not None:
+            self._banks[slot >> self._image.slot_bits].access(0, line)
             return True
         bank = self._rr % self.num_banks
         self._rr += 1
-        ev = self._banks[bank][si].insert(line, 0, self._all_ways)
-        self._where[line] = bank
-        if ev is not None:
-            del self._where[ev.tag]
+        self._banks[bank].fill(0, line)
         return False
 
 
@@ -208,14 +190,12 @@ class IdealLRUAggregation(AggregatedCache):
 
     def __init__(self, num_banks: int, bank_ways: int, num_sets: int) -> None:
         super().__init__(num_banks, bank_ways, num_sets)
-        self._sets = [CacheSet(self.total_ways) for _ in range(num_sets)]
-        self._all_ways = tuple(range(self.total_ways))
+        self._bank = CacheBank(0, num_sets, self.total_ways)
 
     def _access(self, line: int) -> bool:
-        cset = self._sets[self.set_index(line)]
-        if cset.lookup(line) is not None:
+        if self._bank.access(0, line):
             return True
-        cset.insert(line, 0, self._all_ways)
+        self._bank.fill(0, line)
         return False
 
 

@@ -25,16 +25,18 @@ The cache operates in one of two modes:
   promoted back to level 1 — these block moves are the *migrations* whose
   rate distinguishes the aggregation schemes in the paper.
 
-The simulator keeps a global line -> bank directory; the hardware equivalent
-is the partial-tag directory the paper assumes for Parallel allocation.
+All banks live in one :class:`~repro.cache.bank.CacheImage`, whose
+directory ``where`` maps every resident line to its slot in every mode;
+the hardware equivalent is the partial-tag directory the paper assumes for
+Parallel allocation.  The batched engine (:mod:`repro.sim.batched`) runs on
+the same image in place, so both engines share one cache state.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.cache.bank import CacheBank
-from repro.cache.cacheset import Eviction
+from repro.cache.bank import CacheImage, Eviction
 from repro.cache.partition_map import CorePartition, PartitionMap
 from repro.config import L2Config
 from repro.telemetry.metrics import MetricsRegistry
@@ -182,12 +184,13 @@ class NucaL2:
         ]
         #: demotion-chain cap per access in DNUCA mode (bounded migration).
         self.max_demotions = 2
-        self.banks = [
-            CacheBank(b, self.config.sets_per_bank, self.config.bank_ways)
-            for b in range(self.config.num_banks)
-        ]
+        #: the lines of every bank, shared with the batched engine
+        self.image = CacheImage(
+            self.config.num_banks, self.config.sets_per_bank,
+            self.config.bank_ways,
+        )
+        self.banks = self.image.banks()
         self._set_bits = ilog2(self.config.sets_per_bank)
-        self._where: dict[int, int] = {}
         self._mode = "shared"
         self._pmap: PartitionMap | None = None
         self._rr: dict[int, int] = {}
@@ -211,27 +214,20 @@ class NucaL2:
         that a previous partitioned epoch placed in non-home banks must be
         dropped first.
         """
-        if self._mode == "partitioned" and self._where:
+        if self._mode == "partitioned" and self.image.where:
             self.flush()
         self._mode = "shared"
         self._pmap = None
-        self._where.clear()
         for bank in self.banks:
             bank.share_all()
 
     def apply_partition(self, pmap: PartitionMap) -> None:
         """Install a partition map.  Resident lines are left in place (as in
         the paper — enforcement is purely through replacement masking), so
-        stale lines of the previous epoch drain out naturally."""
+        stale lines of the previous epoch drain out naturally.  The
+        directory covers every mode, so shared-mode residents stay
+        findable."""
         pmap.validate(self.config.num_banks, self.config.bank_ways)
-        if self._mode == "shared":
-            # Adopt shared-mode residents into the directory so they remain
-            # findable (and evictable) under partitioned operation.
-            self._where = {
-                line: bank.bank_id
-                for bank in self.banks
-                for line in bank.resident_lines()
-            }
         self._mode = "partitioned"
         self._pmap = pmap
         self._rr = {c: 0 for c in pmap.partitions}
@@ -297,7 +293,7 @@ class NucaL2:
                 self.stats.writebacks += 1
             return AccessResult(False, bank.bank_id, evictions, 0)
 
-        home = self._where.get(line)
+        home = self.bank_of(line)
         if home is not None:
             hit = self.banks[home].access(core, line, is_write=is_write)
             assert hit, "directory said present but set lookup missed"
@@ -307,11 +303,9 @@ class NucaL2:
         bank_id = self._shared_rr % self.config.num_banks
         self._shared_rr += 1
         ev = self.banks[bank_id].fill(core, line, dirty=is_write)
-        self._where[line] = bank_id
         self.banks[bank_id].stats.record(core, False)
         evictions: tuple[Eviction, ...] = ()
         if ev is not None:
-            del self._where[ev.tag]
             evictions = (ev,)
             if ev.dirty:
                 self.stats.writebacks += 1
@@ -321,7 +315,7 @@ class NucaL2:
 
     def _access_dnuca(self, core: int, line: int, is_write: bool) -> AccessResult:
         """Generational DNUCA: gravity placement + one-step migration."""
-        home = self._where.get(line)
+        home = self.bank_of(line)
         if home is not None:
             hit = self.banks[home].access(core, line, is_write=is_write)
             assert hit, "directory said present but set lookup missed"
@@ -346,11 +340,9 @@ class NucaL2:
         evictions: list[Eviction] = []
         migrations = 0
         ev = self.banks[bank_id].fill(owner, line, dirty=dirty)
-        self._where[line] = bank_id
         current_bank = bank_id
         demotions = 0
         while ev is not None:
-            del self._where[ev.tag]
             v_owner = ev.owner if 0 <= ev.owner < self.num_cores else owner
             order = self.bank_orders[v_owner]
             pos = self._order_pos[v_owner].get(current_bank, len(order) - 1)
@@ -359,7 +351,6 @@ class NucaL2:
                 break
             target = order[pos + 1]
             next_ev = self.banks[target].fill(v_owner, ev.tag, dirty=ev.dirty)
-            self._where[ev.tag] = target
             migrations += 1
             demotions += 1
             current_bank = target
@@ -376,24 +367,19 @@ class NucaL2:
         target = self.bank_orders[core][pos - 1]
         removed = self.banks[home].invalidate(line)
         assert removed is not None
-        del self._where[line]
         displaced = self.banks[target].fill(core, line, dirty=removed.dirty)
-        self._where[line] = target
         migrations = 1
         if displaced is not None:
-            del self._where[displaced.tag]
             back_owner = (
                 displaced.owner if 0 <= displaced.owner < self.num_cores else core
             )
             back = self.banks[home].fill(
                 back_owner, displaced.tag, dirty=displaced.dirty
             )
-            self._where[displaced.tag] = home
             migrations += 1
-            if back is not None:  # freed way re-raced by a mode change
-                del self._where[back.tag]
-                if back.dirty:
-                    self.stats.writebacks += 1
+            # freed way re-raced by a mode change
+            if back is not None and back.dirty:
+                self.stats.writebacks += 1
         self.stats.migrations += migrations
         return migrations
 
@@ -404,7 +390,7 @@ class NucaL2:
             return self._access_partitioned_dnuca(core, line, is_write)
         assert self._pmap is not None
         part = self._pmap[core]
-        home = self._where.get(line)
+        home = self.bank_of(line)
         if home is not None:
             bank = self.banks[home]
             hit = bank.access(core, line, is_write=is_write)
@@ -437,7 +423,7 @@ class NucaL2:
         the core's own ways, and hits migrate one step back toward the core.
         The way masks still provide the isolation — all movement happens in
         ways the core owns."""
-        home = self._where.get(line)
+        home = self.bank_of(line)
         if home is not None:
             hit = self.banks[home].access(core, line, is_write=is_write)
             assert hit, "directory said present but set lookup missed"
@@ -462,17 +448,14 @@ class NucaL2:
         evictions: list[Eviction] = []
         migrations = 0
         ev = self.banks[chain[0]].fill(core, line, dirty=dirty)
-        self._where[line] = chain[0]
         pos = 0
         demotions = 0
         while ev is not None:
-            del self._where[ev.tag]
             if demotions >= self.max_demotions or pos + 1 >= len(chain):
                 evictions.append(ev)
                 break
             target = chain[pos + 1]
             next_ev = self.banks[target].fill(core, ev.tag, dirty=ev.dirty)
-            self._where[ev.tag] = target
             migrations += 1
             demotions += 1
             pos += 1
@@ -493,19 +476,13 @@ class NucaL2:
         target = self._chain[core][pos - 1]
         removed = self.banks[home].invalidate(line)
         assert removed is not None
-        del self._where[line]
         displaced = self.banks[target].fill(core, line, dirty=removed.dirty)
-        self._where[line] = target
         migrations = 1
         if displaced is not None:
-            del self._where[displaced.tag]
             back = self.banks[home].fill(core, displaced.tag, dirty=displaced.dirty)
-            self._where[displaced.tag] = home
             migrations += 1
-            if back is not None:
-                del self._where[back.tag]
-                if back.dirty:
-                    self.stats.writebacks += 1
+            if back is not None and back.dirty:
+                self.stats.writebacks += 1
         self.stats.migrations += migrations
         return migrations
 
@@ -525,9 +502,7 @@ class NucaL2:
         evictions: list[Eviction] = []
         migrations = 0
         ev = self.banks[bank_id].fill(core, line, dirty=dirty)
-        self._where[line] = bank_id
         if ev is not None:
-            del self._where[ev.tag]
             demote_ok = (
                 part.level2 is not None
                 and bank_id != part.level2.bank
@@ -537,10 +512,8 @@ class NucaL2:
                 ev2 = self.banks[part.level2.bank].fill(
                     core, ev.tag, dirty=ev.dirty
                 )
-                self._where[ev.tag] = part.level2.bank
                 migrations += 1
                 if ev2 is not None:
-                    del self._where[ev2.tag]
                     evictions.append(ev2)
             else:
                 evictions.append(ev)
@@ -556,7 +529,6 @@ class NucaL2:
         """Move a level-2 hit back into level 1 (cascade MRU insertion)."""
         ev = self.banks[home].invalidate(line)
         assert ev is not None
-        del self._where[line]
         fill_bank_id = self._level1_bank(core, part, line)
         evictions, migrations = self._fill_with_demotion(
             core, part, line, fill_bank_id, dirty=ev.dirty
@@ -567,15 +539,12 @@ class NucaL2:
     # -- introspection ------------------------------------------------------
 
     def contains(self, line: int) -> bool:
-        if self._mode == "shared" and self.placement == "hash":
-            return self.banks[self.shared_home(line)].probe(line)
-        return line in self._where
+        return line in self.image.where
 
     def bank_of(self, line: int) -> int | None:
-        if self._mode == "shared" and self.placement == "hash":
-            home = self.shared_home(line)
-            return home if self.banks[home].probe(line) else None
-        return self._where.get(line)
+        """Bank holding ``line``, or None when it is not resident."""
+        slot = self.image.where.get(line)
+        return None if slot is None else slot >> self.image.slot_bits
 
     def occupancy(self) -> int:
         return sum(b.occupancy() for b in self.banks)
@@ -608,5 +577,4 @@ class NucaL2:
             for line in bank.resident_lines():
                 bank.invalidate(line)
                 dropped += 1
-        self._where.clear()
         return dropped

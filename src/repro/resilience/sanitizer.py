@@ -2,11 +2,13 @@
 
 Static analysis (:mod:`repro.lint`) proves the *code* routes decisions and
 randomness through the right choke points; the sanitizer proves the
-*running state* stays sound.  When enabled it instruments cache sets and
-epoch installs with checks far too expensive for production runs:
+*running state* stays sound.  When enabled it instruments the cache image
+and epoch installs with checks far too expensive for production runs:
 
-* **LRU-stack uniqueness** — every cache set's tag map, tag array and
-  recency stamps are mutually consistent and free of duplicates;
+* **cache-image integrity** — every slot is empty (tag -1, stamp 0, owner
+  -1, clean) or resident (stamp >= 1, unique within its set, no tag twice);
+  the directory and the resident tags are the same set of lines, slot for
+  slot; in shared hash mode every line sits in its address-hash home;
 * **way conservation** — an installed :class:`PartitionMap` claims every
   bank way exactly once, and the banks' vertical ownership masks agree
   with it way for way;
@@ -39,8 +41,7 @@ from repro.errors import (
 )
 
 if TYPE_CHECKING:  # heavy imports for annotations only
-    from repro.cache.bank import CacheBank
-    from repro.cache.cacheset import CacheSet
+    from repro.cache.bank import CacheBank, CacheImage
     from repro.cache.nuca import NucaL2
     from repro.cache.partition_map import PartitionMap
     from repro.partitioning.bank_aware import BankAwareDecision
@@ -59,54 +60,16 @@ class ReproSanitizer:
         self.rel_tolerance = rel_tolerance
         self.checks_run = 0
 
-    # -- cache-set integrity -------------------------------------------------
-
-    def check_set(
-        self,
-        cset: CacheSet,
-        *,
-        bank: int | None = None,
-        set_index: int | None = None,
-    ) -> None:
-        """LRU-stack uniqueness and tag-map consistency of one set."""
-        self.checks_run += 1
-        tags = cset._tags
-        resident = [t for t in tags if t is not None]
-        if len(set(resident)) != len(resident):
-            raise SanitizerViolation(
-                "duplicate tag in a cache set (a line resident twice)",
-                check="lru-uniqueness", bank=bank, set_index=set_index,
-            )
-        if len(cset._map) != len(resident):
-            raise SanitizerViolation(
-                f"tag map tracks {len(cset._map)} lines, ways hold "
-                f"{len(resident)}",
-                check="tag-map", bank=bank, set_index=set_index,
-            )
-        for tag, way in cset._map.items():
-            if tags[way] != tag:
-                raise SanitizerViolation(
-                    f"tag map points line {tag} at way {way}, which holds "
-                    f"{tags[way]!r}",
-                    check="tag-map", bank=bank, set_index=set_index,
-                )
-        occupied_stamps = [
-            cset._stamps[w] for w, t in enumerate(tags) if t is not None
-        ]
-        if any(s <= 0 for s in occupied_stamps):
-            raise SanitizerViolation(
-                "occupied way with a never-touched recency stamp",
-                check="lru-uniqueness", bank=bank, set_index=set_index,
-            )
-        if len(set(occupied_stamps)) != len(occupied_stamps):
-            raise SanitizerViolation(
-                "two occupied ways share a recency stamp (ambiguous LRU "
-                "victim)",
-                check="lru-uniqueness", bank=bank, set_index=set_index,
-            )
+    # -- cache-image integrity -----------------------------------------------
 
     def check_bank(self, bank: CacheBank) -> None:
-        """Set integrity plus ownership-mask shape of one bank."""
+        """Ownership-mask shape plus the image invariants of one bank's sets.
+
+        Every slot is either empty (tag -1, stamp 0, owner -1, clean) or
+        resident (stamp >= 1, unique within its set) — the victim rule, the
+        smallest stamp among the candidates, depends on both — and every
+        resident line is in the directory at its own slot.
+        """
         self.checks_run += 1
         owners = bank.way_owners()
         if len(owners) != bank.ways:
@@ -114,8 +77,15 @@ class ReproSanitizer:
                 f"bank has {bank.ways} ways but {len(owners)} owner entries",
                 check="way-conservation", bank=bank.bank_id,
             )
-        for set_index, cset in enumerate(bank.sets):
-            self.check_set(cset, bank=bank.bank_id, set_index=set_index)
+        for set_index in range(bank.num_sets):
+            lo = bank.base + set_index * bank.ways
+            problem = _set_problem(bank.image, range(lo, lo + bank.ways))
+            if problem is not None:
+                message, check = problem
+                raise SanitizerViolation(
+                    message, check=check, bank=bank.bank_id,
+                    set_index=set_index,
+                )
 
     # -- partition invariants ------------------------------------------------
 
@@ -142,7 +112,8 @@ class ReproSanitizer:
 
     def check_installation(self, l2: NucaL2) -> None:
         """Installed state: ownership masks match the map, the directory
-        matches residency, every set is internally consistent."""
+        matches residency, every set is internally consistent, and in
+        shared hash mode every line sits in its home bank."""
         self.checks_run += 1
         pmap = l2.partition_map
         if pmap is not None:
@@ -162,26 +133,24 @@ class ReproSanitizer:
                             )
         for bank in l2.banks:
             self.check_bank(bank)
-        if l2.mode == "shared" and l2.placement == "hash":
-            return  # hash-shared mode keeps no directory to cross-check
-        directory = l2._where
-        resident: dict[int, int] = {}
-        for bank in l2.banks:
-            for line in bank.resident_lines():
-                resident[line] = bank.bank_id
-        if len(resident) != len(directory):
+        # every resident line maps to its own slot (check_bank), so equal
+        # counts make the directory and the resident tags the same set
+        where = l2.image.where
+        resident = l2.occupancy()
+        if resident != len(where):
             raise SanitizerViolation(
-                f"directory tracks {len(directory)} lines, banks hold "
-                f"{len(resident)}",
+                f"directory tracks {len(where)} lines, banks hold {resident}",
                 check="directory",
             )
-        for line, bank_id in directory.items():
-            if resident.get(line) != bank_id:
-                raise SanitizerViolation(
-                    f"directory places line {line} in bank {bank_id}, "
-                    f"found in {resident.get(line)}",
-                    check="directory", bank=bank_id,
-                )
+        if l2.mode == "shared" and l2.placement == "hash":
+            for line in where:
+                home = l2.shared_home(line)
+                if l2.bank_of(line) != home:
+                    raise SanitizerViolation(
+                        f"line {line} sits in bank {l2.bank_of(line)}, its "
+                        f"address-hash home is bank {home}",
+                        check="hash-home", bank=home,
+                    )
 
     def check_decision_realization(
         self, decision: BankAwareDecision, pmap: PartitionMap
@@ -298,3 +267,46 @@ class ReproSanitizer:
         if decision is not None:
             self.check_decision_realization(decision, pmap)
         self.check_installation(l2)
+
+
+def _set_problem(image: CacheImage, slots: range) -> tuple[str, str] | None:
+    """The first broken image invariant among one set's ``slots``, as
+    ``(message, check)``, or None when the set is sound."""
+    tags = image.tags
+    resident = [slot for slot in slots if tags[slot] != -1]
+    lines = [tags[slot] for slot in resident]
+    if len(set(lines)) != len(lines):
+        return (
+            "duplicate tag in a cache set (a line resident twice)",
+            "lru-uniqueness",
+        )
+    for slot in slots:
+        if tags[slot] == -1 and (
+            image.stamps[slot] != 0
+            or image.owner[slot] != -1
+            or image.dirty[slot]
+        ):
+            return (
+                f"empty slot {slot} keeps a stamp, owner or dirty bit",
+                "slot-state",
+            )
+    stamps = [image.stamps[slot] for slot in resident]
+    if any(stamp <= 0 for stamp in stamps):
+        return (
+            "occupied way with a never-touched recency stamp",
+            "lru-uniqueness",
+        )
+    if len(set(stamps)) != len(stamps):
+        return (
+            "two occupied ways share a recency stamp (ambiguous LRU victim)",
+            "lru-uniqueness",
+        )
+    for slot in resident:
+        placed = image.where.get(tags[slot])
+        if placed != slot:
+            return (
+                f"slot {slot} holds line {tags[slot]}, the directory "
+                f"places it at {placed!r}",
+                "directory",
+            )
+    return None

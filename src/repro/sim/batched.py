@@ -1,11 +1,12 @@
 """Struct-of-arrays batched execution backend for :class:`CMPSystem`.
 
 The reference backend (``repro.sim.system``) pays Python object overhead on
-every L2 access: a heap push/pop, an ``AccessResult`` allocation, dict+list
-churn inside :class:`~repro.cache.cacheset.CacheSet`, and a per-access MSA
-profiler update.  This module re-executes the *same* simulation on flat
-arrays with a single tight event loop, deferring profiler observations to
-vectorised ``observe_many`` batches.  See DESIGN.md §15.
+every L2 access: a heap push/pop, an ``AccessResult`` allocation, one
+:class:`~repro.cache.bank.CacheBank` method call per cache operation, and a
+per-access MSA profiler update.  This module re-executes the *same*
+simulation in a single tight event loop over the L2's own flat cache image,
+deferring profiler observations to vectorised ``observe_many`` batches.
+See DESIGN.md §15.
 
 Bit-identity with the reference loop is a hard requirement (it is gated by
 ``repro diff`` in CI and by the property tests in
@@ -21,39 +22,38 @@ Bit-identity with the reference loop is a hard requirement (it is gated by
   reproduced with the same operands in the same association: queue delays
   (``max(0.0, next_free - arrival)``), latency accumulation
   (bank latency, then memory latency, then memory queue delay), and the
-  MLP-divided timer advance.  Compute advances are precomputed vectorised
-  as ``gaps * nonmem_cpi`` — elementwise float64, bit-equal to the scalar
-  product.  Instruction and access counters are integers, so they are
-  order-free and recovered from prefix sums instead of per-event adds.
+  MLP-divided timer advance.  Compute advances are computed per trace
+  chunk as ``gaps * nonmem_cpi`` — elementwise float64, bit-equal to the
+  scalar product.  Instruction and access counters are integers, so they
+  are order-free and recovered from sums at the two points that read
+  them (the warmup mark and the run end) instead of per-event adds.
 * **Batch boundaries.** Controller ticks, warmup crossings and
   ``max_cycles`` are folded into one *barrier* cycle count; an event at or
   past the barrier takes a slow path that re-runs the reference checks in
   the reference order (max_cycles, tick, warmup mark, then the access).
   Deferred profiler batches are flushed before any *due* tick, so epoch
   decisions see exactly the accesses that precede the boundary event.
-* **Directory encoding.** The NUCA directory is one dict
-  ``line -> (bank << slot_bits) | slot`` whose value doubles as the index
-  into the flat tag/dirty/owner/stamp arrays, so a hit resolves bank,
-  way *and* storage with a single lookup.  The dict performs the same key
-  insert/delete sequence as the reference's ``l2._where``, and
-  ``check_in`` rebuilds ``l2._where`` from it (same content, same
-  insertion order) at every synchronisation point.
-* **Victim selection.** Replacement scans the set's slice of the flat
-  arrays: first empty way, else the lowest LRU stamp with ties to the
-  lowest way.  Each core's candidate ways per bank are precomputed as a
-  *span*: ``True`` when the core owns the whole set (one
-  ``list.index``/``min`` over the full slice) and ``(lo, hi)`` for a
-  partial range (the same scan over the sub-slice); both reproduce
-  :meth:`CacheSet.insert` exactly.  Every partitioner hands out
-  contiguous way ranges, so a way mask with a gap is refused with
+* **One cache image.** The engine aliases the lists of
+  :class:`~repro.cache.bank.CacheImage` (``l2.image``) and mutates them in
+  place: tags, dirty bits, owners, stamps, the per-set LRU clocks and the
+  directory ``where: line -> (bank << slot_bits) | set * ways + way``,
+  whose value doubles as the index into the flat lists, so a hit resolves
+  bank, way *and* storage with a single lookup.  The per-core bank hit and
+  miss lists are aliased the same way.  The sanitizer, the controller and
+  the tracer therefore read live cache state at every barrier.
+* **Victim selection.** The reference's one rule: the candidate way with
+  the smallest stamp, the first on a tie (an empty way's stamp is 0).
+  Each core's candidate ways per bank are precomputed as a *span*:
+  ``True`` when the core owns the whole set (one ``min``/``index`` over
+  the set's stamps) and ``(lo, hi)`` for a partial range (the same scan
+  over the sub-slice).  Every partitioner hands out contiguous way
+  ranges, so a way mask with a gap is refused with
   :class:`~repro.errors.ConfigError` when the partition is read, before
   any access runs.
-* **Shared mutable state.** The engine mutates the round-robin cursors and
-  the per-core NucaStats arrays in place — the same objects the reference
-  path uses — and checks the flat cache image back into the ``CacheSet``
-  objects at the rare synchronisation points (before sanitised controller
-  ticks and at run end), so the sanitizer, tracer and ``results()`` always
-  read coherent object state.
+* **Derived counters.** The NUCA per-core totals, the bank eviction and
+  write-back counts, the round-robin cursor and the contention ports are
+  kept in locals (or derived from the bank hit/miss lists) and written
+  back at run end: O(cores + banks) scalars.
 """
 
 from __future__ import annotations
@@ -96,10 +96,11 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
     l2 = system.l2
     banks = l2.banks
     nbanks = len(banks)
-    ways = l2.config.bank_ways
-    nsets = banks[0].num_sets
-    set_mask = banks[0]._set_mask
+    image = l2.image
+    ways = image.ways
+    set_mask = image.num_sets - 1
     set_bits = l2._set_bits
+    slot_bits = image.slot_bits
     max_demotions = l2.max_demotions
     bank_orders = l2.bank_orders
     order_pos = l2._order_pos
@@ -111,65 +112,28 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
     else:
         mode = _P_DNUCA if l2.placement == "dnuca" else _P_AGG
 
-    # -- check out cache state into flat arrays ------------------------------
-    # One list per field across all banks; bank b owns the index range
-    # [b << slot_bits, b << slot_bits + nsets*ways).  Tags use -1 as the
-    # empty sentinel (line numbers are non-negative).
-    slot_bits = max(1, (nsets * ways - 1).bit_length())
-    stride = 1 << slot_bits
-    pad = stride - nsets * ways
-    ftags: list[int] = []
-    fdirty: list[bool] = []
-    fowners: list[int] = []
-    fstamps: list[int] = []
-    bclocks: list[list[int]] = []
-    bmaps: list[dict[int, int]] = []
-    bocc = [0] * nbanks
-    # per-set empty-way count, indexed by the set's flat base slot; lets
-    # full sets (the steady state) skip the tag scan entirely
-    socc = [0] * (nbanks << slot_bits)
-    for b, bank in enumerate(banks):
-        gb = b << slot_bits
-        clk: list[int] = []
-        bmap: dict[int, int] = {}
-        for si, cs in enumerate(bank.sets):
-            base = gb + si * ways
-            for w, tg in enumerate(cs._tags):
-                if tg is None:
-                    ftags.append(-1)
-                    socc[base] += 1
-                else:
-                    ftags.append(tg)
-                    bmap[tg] = base + w
-                    bocc[b] += 1
-            fdirty.extend(cs._dirty)
-            fowners.extend(cs._owner)
-            fstamps.extend(cs._stamps)
-            clk.append(cs._clock)
-        if pad:
-            ftags.extend([-1] * pad)
-            fdirty.extend([False] * pad)
-            fowners.extend([-1] * pad)
-            fstamps.extend([0] * pad)
-        bclocks.append(clk)
-        bmaps.append(bmap)
+    # -- the L2's cache image, aliased: every write lands in l2.image --------
+    # Bank b owns the slots [b << slot_bits, (b << slot_bits) + sets*ways);
+    # tags use -1 as the empty sentinel (line numbers are non-negative).
+    ftags = image.tags
+    fdirty = image.dirty
+    fowners = image.owner
+    fstamps = image.stamps
+    bclocks = image.clocks
+    enc_dir = image.where
 
-    # encoded directory: the value is the flat slot index.  Seeded in
-    # l2._where's insertion order and driven with the same key-op sequence,
-    # so the check-in rebuild reproduces the reference dict exactly.
-    enc_dir: dict[int, int] = {
-        ln: bmaps[bk][ln] for ln, bk in l2._where.items()
-    }
-
-    # bank-level stats as per-core matrices (dicts rebuilt at check-in)
-    bhits = [[bank.stats.hits.get(c, 0) for c in range(ncores)] for bank in banks]
-    bmiss = [[bank.stats.misses.get(c, 0) for c in range(ncores)] for bank in banks]
+    # bank-level stats: the per-core hit/miss lists are aliased; eviction
+    # and write-back counts are per-bank scalars, written back at run end
+    for bank in banks:
+        bank.stats.grow(ncores)
+    bhits = [bank.stats._hits for bank in banks]
+    bmiss = [bank.stats._misses for bank in banks]
     bevict = [bank.stats.evictions for bank in banks]
     bwb = [bank.stats.writebacks for bank in banks]
 
     # NUCA-level stats: the per-core arrays are mutated in place (aliased).
     # Hit/miss counters are integers, hence order-free: the loop only
-    # maintains the per-(bank, core) matrices and the NUCA totals are
+    # maintains the per-(bank, core) lists and the NUCA totals are
     # recovered as base + column sums at synchronisation points.
     nhits = l2.stats._hits
     nmiss = l2.stats._misses
@@ -206,27 +170,16 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
     cstall = [t.mem_stall for t in timers]
     cacc = [t.accesses for t in timers]
     cmlp = [t.mlp for t in timers]
+    ccpi = [t.nonmem_cpi for t in timers]
 
     # traces: numpy columns; scalar access goes through tolist() chunks,
-    # and line numbers are shifted out of the addresses chunk by chunk
+    # with line numbers and compute advances derived chunk by chunk
     addrs_np = system._addrs
     writes_np = system._writes
-    comp_np = [
-        g.astype(np.float64) * timers[c].nonmem_cpi
-        for c, g in enumerate(system._gaps)
-    ]
+    gaps_np = system._gaps
     counts = system._len
     poss = list(system._pos)
     pos0 = list(poss)
-    # instructions are an order-free integer sum: recover them from a
-    # prefix sum over gaps+1 instead of adding per event.  icum[c][j] is
-    # the instruction count after scheduling access j-1.
-    icum: list[np.ndarray] = []
-    for c in range(ncores):
-        ex = np.zeros(counts[c] + 1, dtype=np.int64)
-        if counts[c]:
-            np.cumsum(system._gaps[c].astype(np.int64) + 1, out=ex[1:])
-        icum.append(cinstr[c] - ex[poss[c]] + ex)
     clines: list[list[int]] = [[] for _ in range(ncores)]
     cwrites: list[list[bool]] = [[] for _ in range(ncores)]
     ccomp: list[list[float]] = [[] for _ in range(ncores)]
@@ -240,9 +193,20 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
         stop_i = min(start + CHUNK, counts[cc])
         clines[cc] = (addrs_np[cc][start:stop_i] >> _LINE_SHIFT).tolist()
         cwrites[cc] = writes_np[cc][start:stop_i].tolist()
-        ccomp[cc] = comp_np[cc][start:stop_i].tolist()
+        ccomp[cc] = (
+            gaps_np[cc][start:stop_i].astype(np.float64) * ccpi[cc]
+        ).tolist()
         cb_start[cc] = start
         climit[cc] = stop_i
+
+    def instructions(cc: int, j: int) -> int:
+        """Core ``cc``'s instruction count once access ``j - 1`` has been
+        scheduled: every access retires its gap plus itself."""
+        p0 = pos0[cc]
+        return (
+            cinstr[cc] + (j - p0)
+            + int(gaps_np[cc][p0:j].sum(dtype=np.int64))
+        )
 
     # deferred profiler batches: per-core [pend[c], pos) awaits observe_many
     profilers = system.profilers
@@ -253,7 +217,6 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
     # access in the hot loop in the same event order as the reference
     regulator = system.regulator
     next_epoch = controller.next_epoch if controller is not None else _INF
-    sanitizer = system.sanitizer
     tracer = system.tracer
     warmup = system.warmup_cycles
     max_cycles = system.max_cycles
@@ -324,41 +287,28 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
     def bank_fill(
         b: int, line: int, core: int, dirty: bool
     ) -> tuple[int, bool, int] | None:
-        """Victim-select + insert + directory insert, in reference order."""
+        """Victim-select + insert + directory update, in reference order."""
         si = line & set_mask
         gbase = (b << slot_bits) + si * ways
         span = cspan[b][core]
         if span is True:
-            if socc[gbase]:
-                slot = ftags.index(-1, gbase, gbase + ways)
-            else:
-                sseg = fstamps[gbase:gbase + ways]
-                slot = gbase + sseg.index(min(sseg))
+            sseg = fstamps[gbase:gbase + ways]
+            slot = gbase + sseg.index(min(sseg))
         elif span is not None:
             lo = gbase + span[0]
-            hi = gbase + span[1]
-            if socc[gbase]:
-                seg = ftags[lo:hi]
-                if -1 in seg:
-                    slot = lo + seg.index(-1)
-                else:
-                    sseg = fstamps[lo:hi]
-                    slot = lo + sseg.index(min(sseg))
-            else:
-                sseg = fstamps[lo:hi]
-                slot = lo + sseg.index(min(sseg))
+            sseg = fstamps[lo:gbase + span[1]]
+            slot = lo + sseg.index(min(sseg))
         else:
             raise PermissionError(f"core {core} owns no ways in bank {b}")
         old = ftags[slot]
         if old != -1:
             ev = (old, fdirty[slot], fowners[slot])
+            del enc_dir[old]
             bevict[b] += 1
             if ev[1]:
                 bwb[b] += 1
         else:
             ev = None
-            bocc[b] += 1
-            socc[gbase] -= 1
         ftags[slot] = line
         fdirty[slot] = dirty
         fowners[slot] = core
@@ -369,66 +319,14 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
         enc_dir[line] = slot
         return ev
 
-    def bank_fill_hash(
-        b: int, line: int, core: int, dirty: bool
-    ) -> tuple[int, bool, int] | None:
-        """Hash-shared variant: maintains the per-bank tag map instead of
-        the directory (hash mode locates lines by address alone)."""
-        si = line & set_mask
-        gbase = (b << slot_bits) + si * ways
-        span = cspan[b][core]
-        if span is True:
-            if socc[gbase]:
-                slot = ftags.index(-1, gbase, gbase + ways)
-            else:
-                sseg = fstamps[gbase:gbase + ways]
-                slot = gbase + sseg.index(min(sseg))
-        elif span is not None:
-            lo = gbase + span[0]
-            hi = gbase + span[1]
-            if socc[gbase]:
-                seg = ftags[lo:hi]
-                if -1 in seg:
-                    slot = lo + seg.index(-1)
-                else:
-                    sseg = fstamps[lo:hi]
-                    slot = lo + sseg.index(min(sseg))
-            else:
-                sseg = fstamps[lo:hi]
-                slot = lo + sseg.index(min(sseg))
-        else:
-            raise PermissionError(f"core {core} owns no ways in bank {b}")
-        old = ftags[slot]
-        bm = bmaps[b]
-        if old != -1:
-            ev = (old, fdirty[slot], fowners[slot])
-            del bm[old]
-            bevict[b] += 1
-            if ev[1]:
-                bwb[b] += 1
-        else:
-            ev = None
-            bocc[b] += 1
-            socc[gbase] -= 1
-        ftags[slot] = line
-        fdirty[slot] = dirty
-        fowners[slot] = core
-        bm[line] = slot
-        clk = bclocks[b]
-        nc = clk[si] + 1
-        clk[si] = nc
-        fstamps[slot] = nc
-        return ev
-
-    def bank_clear(b: int, slot: int) -> bool:
-        """Invalidate a known flat slot; returns the line's dirty bit."""
+    def bank_clear(line: int, slot: int) -> bool:
+        """Invalidate ``line`` at its known slot; returns its dirty bit."""
         was = fdirty[slot]
         ftags[slot] = -1
         fdirty[slot] = False
         fowners[slot] = -1
         fstamps[slot] = 0
-        bocc[b] -= 1
-        socc[slot - (slot - (b << slot_bits)) % ways] += 1
+        del enc_dir[line]
         return was
 
     # -- placement-specific miss/migration paths (cold relative to hits) -----
@@ -440,7 +338,6 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
         demotions = 0
         while ev is not None:
             tag, edirty, eowner = ev
-            del enc_dir[tag]
             v = eowner if 0 <= eowner < ncores else owner
             order = bank_orders[v]
             p = order_pos[v].get(current, len(order) - 1)
@@ -459,20 +356,16 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
     ) -> None:
         nonlocal nmig, nwb
         target = bank_orders[core][p - 1]
-        rdirty = bank_clear(home, slot)
-        del enc_dir[line]
+        rdirty = bank_clear(line, slot)
         displaced = bank_fill(target, line, core, rdirty)
         nmig += 1
         if displaced is not None:
             dtag, ddirty, downer = displaced
-            del enc_dir[dtag]
             back_owner = downer if 0 <= downer < ncores else core
             back = bank_fill(home, dtag, back_owner, ddirty)
             nmig += 1
-            if back is not None:
-                del enc_dir[back[0]]
-                if back[1]:
-                    nwb += 1
+            if back is not None and back[1]:
+                nwb += 1
 
     def level1_bank(core: int, line: int) -> int:
         l1 = l1banks[core]
@@ -490,22 +383,18 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
         ev = bank_fill(bank_id, line, core, dirty)
         if ev is not None:
             tag, edirty, eowner = ev
-            del enc_dir[tag]
             l2b = l2bank[core]
             if l2b >= 0 and bank_id != l2b and eowner == core:
                 ev2 = bank_fill(l2b, tag, core, edirty)
                 nmig += 1
-                if ev2 is not None:
-                    del enc_dir[ev2[0]]
-                    if ev2[1]:
-                        nwb += 1
+                if ev2 is not None and ev2[1]:
+                    nwb += 1
             elif edirty:
                 nwb += 1
 
-    def agg_promote(core: int, line: int, home: int, slot: int) -> None:
+    def agg_promote(core: int, line: int, slot: int) -> None:
         nonlocal nmig
-        rdirty = bank_clear(home, slot)
-        del enc_dir[line]
+        rdirty = bank_clear(line, slot)
         fill_demote(core, line, level1_bank(core, line), rdirty)
         nmig += 1
 
@@ -526,28 +415,11 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                 )
                 pend[cc] = end
 
-    def check_in() -> None:
-        """Write the flat cache image back into the object model."""
+    def write_back() -> None:
+        """Store the derived counters into the L2 and the ports."""
         for b, bank in enumerate(banks):
-            gb = b << slot_bits
-            clk = bclocks[b]
-            for si in range(nsets):
-                cs = bank.sets[si]
-                base = gb + si * ways
-                seg = ftags[base:base + ways]
-                cs._tags[:] = [None if t == -1 else t for t in seg]
-                cs._dirty[:] = fdirty[base:base + ways]
-                cs._owner[:] = fowners[base:base + ways]
-                cs._stamps[:] = fstamps[base:base + ways]
-                cs._clock = clk[si]
-                cs._map = {t: w for w, t in enumerate(seg) if t != -1}
-            st = bank.stats
-            st.hits = {cc: v for cc, v in enumerate(bhits[b]) if v}
-            st.misses = {cc: v for cc, v in enumerate(bmiss[b]) if v}
-            st.evictions = bevict[b]
-            st.writebacks = bwb[b]
-        if mode != _SH_HASH:
-            l2._where = {ln: e >> slot_bits for ln, e in enc_dir.items()}
+            bank.stats.evictions = bevict[b]
+            bank.stats.writebacks = bwb[b]
         for cc in range(ncores):
             nhits[cc] = nh_base[cc] + sum(row[cc] for row in bhits)
             nmiss[cc] = nm_base[cc] + sum(row[cc] for row in bmiss)
@@ -569,7 +441,7 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
             epoch=epoch,
             hits=[sum(h) for h in bhits],
             misses=[sum(m) for m in bmiss],
-            occupancy=list(bocc),
+            occupancy=[bank.occupancy() for bank in banks],
             queue_served=[
                 pbase[b] + sum(bhits[b]) + sum(bmiss[b])
                 for b in range(nbanks)
@@ -618,7 +490,7 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
 
     # -- the flat event loop -------------------------------------------------
     # One iteration per L2 access: (rare) barrier slow path, access on the
-    # flat mirrors, contention, timer advance, then one fused
+    # cache image, contention, timer advance, then one fused
     # ``heappushpop`` that schedules this core's next access and hands back
     # the globally earliest one.  (t, core) tuples compare
     # lexicographically — the reference heap's order.  On an empty heap
@@ -626,10 +498,10 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
     # which is exactly "the next event is this core's own".
     # -- hot-loop local aliases ----------------------------------------------
     # Nearly every name the event loop touches is captured by a closure
-    # (check_in, load_chunk, refresh_partition, ...) and therefore lives in
-    # a cell: LOAD_DEREF on every access.  Containers are mutated in place
-    # and never rebound, so plain local aliases (LOAD_FAST) are safe; the
-    # partition mirrors, which refresh_partition does rebind, are
+    # (load_chunk, refresh_partition, bank_fill, ...) and therefore lives
+    # in a cell: LOAD_DEREF on every access.  Containers are mutated in
+    # place and never rebound, so plain local aliases (LOAD_FAST) are safe;
+    # the partition mirrors, which refresh_partition does rebind, are
     # re-aliased after every barrier slow path.  The scalar counters the
     # inlined paths bump (nmig/nwb) become local deltas folded back into
     # the cells at every synchronisation point; mnext/mdelay are aliased
@@ -639,14 +511,11 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
     fowners_ = fowners
     fstamps_ = fstamps
     bclocks_ = bclocks
-    socc_ = socc
-    bocc_ = bocc
     enc_dir_ = enc_dir
     bhits_ = bhits
     bmiss_ = bmiss
     bevict_ = bevict
     bwb_ = bwb
-    bmaps_ = bmaps
     pnext_ = pnext
     pdelay_ = pdelay
     poss_ = poss
@@ -687,8 +556,7 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
 
         if t >= barrier:
             # push the deferred scalar counters back into the closure
-            # cells before anything (sanitizer check-in, controller tick,
-            # snapshot) reads them
+            # cells before anything (controller tick, snapshot) reads them
             nmig += nmig_d
             nwb += nwb_d
             nmig_d = nwb_d = 0
@@ -701,8 +569,6 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                 break
             if t >= next_epoch:
                 flush_pending(c, poss_[c])
-                if sanitizer is not None:
-                    check_in()
                 installed = controller.tick(t)
                 next_epoch = controller.next_epoch
                 refresh_partition()
@@ -711,7 +577,8 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
             if nunmarked and t >= warmup and not marked[c]:
                 pc = poss_[c]
                 system._start_snaps[c] = CoreSnapshot(
-                    t, int(icum[c][pc + 1]), cstall[c], cacc[c] + pc - pos0[c]
+                    t, instructions(c, pc + 1), cstall[c],
+                    cacc[c] + pc - pos0[c],
                 )
                 system._start_l2[c] = (
                     nh_base[c] + sum(row[c] for row in bhits_),
@@ -734,55 +601,43 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
         line = clines_[c][i]
         wr = cwrites_[c][i]
 
-        # -- L2 access (inlined NucaL2.access on the flat mirrors) -----------
-        if is_pdnuca:
-            enc = enc_get(line)
-            if enc is not None:
-                home = enc >> slot_bits_
-                si = line & set_mask_
-                clk = bclocks_[home]
-                ncl = clk[si] + 1
-                clk[si] = ncl
-                fstamps_[enc] = ncl
-                if wr:
-                    fdirty_[enc] = True
-                bhits_[home][c] += 1
-                p = cpos_[c][home]
+        # -- L2 access (inlined NucaL2.access on the cache image) ------------
+        # every mode finds a resident line through the one directory
+        enc = enc_get(line)
+        if enc is not None:
+            bank_id = enc >> slot_bits_
+            si = line & set_mask_
+            clk = bclocks_[bank_id]
+            ncl = clk[si] + 1
+            clk[si] = ncl
+            fstamps_[enc] = ncl
+            if wr:
+                fdirty_[enc] = True
+            bhits_[bank_id][c] += 1
+            hit = True
+            if is_pdnuca:
+                p = cpos_[c][bank_id]
                 if p > 0:
                     # inlined chain_promote: swap the line one bank toward
                     # the chain head; every fill shares the set index.
+                    home = bank_id
                     target = chains_[c][p - 1]
                     rdirty = fdirty_[enc]
                     fstamps_[enc] = 0
                     ftags_[enc] = -1
                     fdirty_[enc] = False
                     fowners_[enc] = -1
-                    bocc_[home] -= 1
-                    base = si * ways_
-                    ghome = (home << slot_bits_) + base
-                    socc_[ghome] += 1
                     del enc_dir_[line]
+                    base = si * ways_
                     gbase = (target << slot_bits_) + base
                     span = cspan_[target][c]
                     if span is True:
-                        if socc_[gbase]:
-                            slot = ftags_.index(-1, gbase, gbase + ways_)
-                        else:
-                            sseg = fstamps_[gbase:gbase + ways_]
-                            slot = gbase + sseg.index(min(sseg))
+                        sseg = fstamps_[gbase:gbase + ways_]
+                        slot = gbase + sseg.index(min(sseg))
                     elif span is not None:
                         lo = gbase + span[0]
-                        hi = gbase + span[1]
-                        if socc_[gbase]:
-                            seg = ftags_[lo:hi]
-                            if -1 in seg:
-                                slot = lo + seg.index(-1)
-                            else:
-                                sseg = fstamps_[lo:hi]
-                                slot = lo + sseg.index(min(sseg))
-                        else:
-                            sseg = fstamps_[lo:hi]
-                            slot = lo + sseg.index(min(sseg))
+                        sseg = fstamps_[lo:gbase + span[1]]
+                        slot = lo + sseg.index(min(sseg))
                     else:
                         raise PermissionError(
                             f"core {c} owns no ways in bank {target}"
@@ -790,13 +645,10 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                     dtag = ftags_[slot]
                     if dtag != -1:
                         ddirty = fdirty_[slot]
+                        del enc_dir_[dtag]
                         bevict_[target] += 1
                         if ddirty:
                             bwb_[target] += 1
-                    else:
-                        ddirty = False
-                        bocc_[target] += 1
-                        socc_[gbase] -= 1
                     ftags_[slot] = line
                     fdirty_[slot] = rdirty
                     fowners_[slot] = c
@@ -808,42 +660,26 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                     nmig_d += 1
                     if dtag != -1:
                         # swap the displaced line back into the vacated home
-                        del enc_dir_[dtag]
-                        gbase = ghome
+                        gbase = (home << slot_bits_) + base
                         span = cspan_[home][c]
                         if span is True:
-                            if socc_[gbase]:
-                                slot = ftags_.index(-1, gbase, gbase + ways_)
-                            else:
-                                sseg = fstamps_[gbase:gbase + ways_]
-                                slot = gbase + sseg.index(min(sseg))
+                            sseg = fstamps_[gbase:gbase + ways_]
+                            slot = gbase + sseg.index(min(sseg))
                         elif span is not None:
                             lo = gbase + span[0]
-                            hi = gbase + span[1]
-                            if socc_[gbase]:
-                                seg = ftags_[lo:hi]
-                                if -1 in seg:
-                                    slot = lo + seg.index(-1)
-                                else:
-                                    sseg = fstamps_[lo:hi]
-                                    slot = lo + sseg.index(min(sseg))
-                            else:
-                                sseg = fstamps_[lo:hi]
-                                slot = lo + sseg.index(min(sseg))
+                            sseg = fstamps_[lo:gbase + span[1]]
+                            slot = lo + sseg.index(min(sseg))
                         else:
                             raise PermissionError(
                                 f"core {c} owns no ways in bank {home}"
                             )
                         old = ftags_[slot]
                         if old != -1:
-                            odirty = fdirty_[slot]
+                            del enc_dir_[old]
                             bevict_[home] += 1
-                            if odirty:
+                            if fdirty_[slot]:
                                 bwb_[home] += 1
-                        else:
-                            odirty = False
-                            bocc_[home] += 1
-                            socc_[gbase] -= 1
+                                nwb_d += 1
                         ftags_[slot] = dtag
                         fdirty_[slot] = ddirty
                         fowners_[slot] = c
@@ -853,13 +689,16 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                         fstamps_[slot] = ncl
                         enc_dir_[dtag] = slot
                         nmig_d += 1
-                        if old != -1:
-                            del enc_dir_[old]
-                            if odirty:
-                                nwb_d += 1
-                hit = True
-                bank_id = home
-            else:
+            elif is_pagg:
+                if bank_id == l2bank_[c] and l1banks_[c]:
+                    agg_promote(c, line, enc)
+            elif is_shdnuca:
+                p = opos[c][bank_id]
+                if p > 0:
+                    dnuca_promote(c, line, bank_id, enc, p)
+        else:
+            hit = False
+            if is_pdnuca:
                 chain = chains_[c]
                 b = chain[0]
                 bank_id = b
@@ -871,24 +710,12 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                 gbase = (b << slot_bits_) + base
                 span = cspan_[b][c]
                 if span is True:
-                    if socc_[gbase]:
-                        slot = ftags_.index(-1, gbase, gbase + ways_)
-                    else:
-                        sseg = fstamps_[gbase:gbase + ways_]
-                        slot = gbase + sseg.index(min(sseg))
+                    sseg = fstamps_[gbase:gbase + ways_]
+                    slot = gbase + sseg.index(min(sseg))
                 elif span is not None:
                     lo = gbase + span[0]
-                    hi = gbase + span[1]
-                    if socc_[gbase]:
-                        seg = ftags_[lo:hi]
-                        if -1 in seg:
-                            slot = lo + seg.index(-1)
-                        else:
-                            sseg = fstamps_[lo:hi]
-                            slot = lo + sseg.index(min(sseg))
-                    else:
-                        sseg = fstamps_[lo:hi]
-                        slot = lo + sseg.index(min(sseg))
+                    sseg = fstamps_[lo:gbase + span[1]]
+                    slot = lo + sseg.index(min(sseg))
                 else:
                     raise PermissionError(
                         f"core {c} owns no ways in bank {b}"
@@ -896,13 +723,10 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                 old = ftags_[slot]
                 if old != -1:
                     odirty = fdirty_[slot]
+                    del enc_dir_[old]
                     bevict_[b] += 1
                     if odirty:
                         bwb_[b] += 1
-                else:
-                    odirty = False
-                    bocc_[b] += 1
-                    socc_[gbase] -= 1
                 ftags_[slot] = line
                 fdirty_[slot] = wr
                 fowners_[slot] = c
@@ -912,7 +736,6 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                 fstamps_[slot] = ncl
                 enc_dir_[line] = slot
                 if old != -1:
-                    del enc_dir_[old]
                     p = 0
                     demotions = 0
                     clen = clens_[c]
@@ -926,24 +749,12 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                         gbase = (b << slot_bits_) + base
                         span = cspan_[b][c]
                         if span is True:
-                            if socc_[gbase]:
-                                slot = ftags_.index(-1, gbase, gbase + ways_)
-                            else:
-                                sseg = fstamps_[gbase:gbase + ways_]
-                                slot = gbase + sseg.index(min(sseg))
+                            sseg = fstamps_[gbase:gbase + ways_]
+                            slot = gbase + sseg.index(min(sseg))
                         elif span is not None:
                             lo = gbase + span[0]
-                            hi = gbase + span[1]
-                            if socc_[gbase]:
-                                seg = ftags_[lo:hi]
-                                if -1 in seg:
-                                    slot = lo + seg.index(-1)
-                                else:
-                                    sseg = fstamps_[lo:hi]
-                                    slot = lo + sseg.index(min(sseg))
-                            else:
-                                sseg = fstamps_[lo:hi]
-                                slot = lo + sseg.index(min(sseg))
+                            sseg = fstamps_[lo:gbase + span[1]]
+                            slot = lo + sseg.index(min(sseg))
                         else:
                             raise PermissionError(
                                 f"core {c} owns no ways in bank {b}"
@@ -951,13 +762,10 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                         old2 = ftags_[slot]
                         if old2 != -1:
                             odirty2 = fdirty_[slot]
+                            del enc_dir_[old2]
                             bevict_[b] += 1
                             if odirty2:
                                 bwb_[b] += 1
-                        else:
-                            odirty2 = False
-                            bocc_[b] += 1
-                            socc_[gbase] -= 1
                         ftags_[slot] = old
                         fdirty_[slot] = odirty
                         fowners_[slot] = c
@@ -970,97 +778,24 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
                         demotions += 1
                         if old2 == -1:
                             break
-                        del enc_dir_[old2]
                         old = old2
                         odirty = odirty2
-                bmiss_[bank_id][c] += 1
-                hit = False
-        elif is_pagg:
-            enc = enc_get(line)
-            if enc is not None:
-                home = enc >> slot_bits_
-                si = line & set_mask_
-                clk = bclocks_[home]
-                ncl = clk[si] + 1
-                clk[si] = ncl
-                fstamps_[enc] = ncl
-                if wr:
-                    fdirty_[enc] = True
-                bhits_[home][c] += 1
-                if home == l2bank_[c] and l1banks_[c]:
-                    agg_promote(c, line, home, enc)
-                hit = True
-                bank_id = home
-            else:
+            elif is_pagg:
                 bank_id = level1_bank(c, line)
                 fill_demote(c, line, bank_id, wr)
-                bmiss_[bank_id][c] += 1
-                hit = False
-        elif is_shdnuca:
-            enc = enc_get(line)
-            if enc is not None:
-                home = enc >> slot_bits_
-                si = line & set_mask_
-                clk = bclocks_[home]
-                ncl = clk[si] + 1
-                clk[si] = ncl
-                fstamps_[enc] = ncl
-                if wr:
-                    fdirty_[enc] = True
-                bhits_[home][c] += 1
-                p = opos[c][home]
-                if p > 0:
-                    dnuca_promote(c, line, home, enc, p)
-                hit = True
-                bank_id = home
-            else:
+            elif is_shdnuca:
                 bank_id = bank_orders_[c][0]
                 dnuca_fill(c, line, bank_id, wr)
-                bmiss_[bank_id][c] += 1
-                hit = False
-        elif is_shhash:
-            bank_id = (line >> set_bits_) % nbanks_
-            slot = bmaps_[bank_id].get(line)
-            if slot is not None:
-                si = line & set_mask_
-                clk = bclocks_[bank_id]
-                ncl = clk[si] + 1
-                clk[si] = ncl
-                fstamps_[slot] = ncl
-                if wr:
-                    fdirty_[slot] = True
-                bhits_[bank_id][c] += 1
-                hit = True
             else:
-                bmiss_[bank_id][c] += 1
-                ev = bank_fill_hash(bank_id, line, c, wr)
+                if is_shhash:
+                    bank_id = (line >> set_bits_) % nbanks_
+                else:
+                    bank_id = shared_rr % nbanks_
+                    shared_rr += 1
+                ev = bank_fill(bank_id, line, c, wr)
                 if ev is not None and ev[1]:
                     nwb_d += 1
-                hit = False
-        else:  # _SH_PAR
-            enc = enc_get(line)
-            if enc is not None:
-                home = enc >> slot_bits_
-                si = line & set_mask_
-                clk = bclocks_[home]
-                ncl = clk[si] + 1
-                clk[si] = ncl
-                fstamps_[enc] = ncl
-                if wr:
-                    fdirty_[enc] = True
-                bhits_[home][c] += 1
-                hit = True
-                bank_id = home
-            else:
-                bank_id = shared_rr % nbanks_
-                shared_rr += 1
-                ev = bank_fill(bank_id, line, c, wr)
-                bmiss_[bank_id][c] += 1
-                if ev is not None:
-                    del enc_dir_[ev[0]]
-                    if ev[1]:
-                        nwb_d += 1
-                hit = False
+            bmiss_[bank_id][c] += 1
 
         # -- contention + latency + timer (same ops, same order; the
         # uncontended branches skip only exact no-ops: +0.0 on finite
@@ -1125,12 +860,12 @@ def run_batched(system: "CMPSystem") -> None:  # noqa: C901 - one hot loop
     for a, cc in heap:
         arrival[cc] = a
     flush_pending(-1, 0)
-    check_in()
+    write_back()
     for cc in range(ncores):
         timer = timers[cc]
         a = arrival[cc]
         timer.time = ctime[cc] if a == _INF else a
-        timer.instructions = int(icum[cc][min(poss[cc] + 1, counts[cc])])
+        timer.instructions = instructions(cc, min(poss[cc] + 1, counts[cc]))
         timer.mem_stall = cstall[cc]
         timer.accesses = cacc[cc] + poss[cc] - pos0[cc]
     system._pos = poss

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.cacheset import CacheSet
+from repro.cache.bank import CacheBank
 from repro.profiling.miss_curve import MissCurve
 from repro.profiling.msa import MSAProfiler
 
@@ -90,13 +90,12 @@ class TestProjection:
         for line in lines:
             p.observe(line)
         for ways in range(1, positions + 1):
-            sets = [CacheSet(ways) for _ in range(2)]
+            bank = CacheBank(0, 2, ways)
             misses = 0
             for line in lines:
-                cset = sets[line & 1]
-                if cset.lookup(line) is None:
+                if not bank.access(0, line):
                     misses += 1
-                    cset.insert(line, 0, tuple(range(ways)))
+                    bank.fill(0, line)
             assert p.misses_at(ways) == misses, f"ways={ways}"
 
 

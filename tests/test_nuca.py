@@ -25,7 +25,7 @@ def directory_consistent(l2: NucaL2) -> bool:
     for bank in l2.banks:
         for line in bank.resident_lines():
             resident[line] = bank.bank_id
-    return resident == l2._where
+    return resident == {line: l2.bank_of(line) for line in l2.image.where}
 
 
 class TestSharedModes:

@@ -40,7 +40,7 @@ class TestDirectoryIntegrity:
             for bank in l2.banks
             for line in bank.resident_lines()
         }
-        assert resident == l2._where
+        assert resident == {ln: l2.bank_of(ln) for ln in l2.image.where}
         assert total_resident(l2) <= SMALL.num_banks * SMALL.bank_ways * SMALL.sets_per_bank
 
     @pytest.mark.parametrize("placement", ["parallel", "dnuca"])
@@ -57,7 +57,7 @@ class TestDirectoryIntegrity:
             for bank in l2.banks
             for line in bank.resident_lines()
         }
-        assert resident == l2._where
+        assert resident == {ln: l2.bank_of(ln) for ln in l2.image.where}
 
     @given(ops=access_ops)
     @settings(max_examples=30, deadline=None)
@@ -93,4 +93,4 @@ class TestEvictionAccounting:
             r = l2.access(core, line, is_write=write)
             evictions += len(r.evictions)
         assert l2.stats.total_misses() - evictions == total_resident(l2)
-        assert total_resident(l2) == len(l2._where)
+        assert total_resident(l2) == len(l2.image.where)

@@ -636,6 +636,26 @@ class TestMonteCarloResume:
             run_monte_carlo(4, CFG, curves=curves_by_name, seed=6,
                             checkpoint_path=path, resume=True)
 
+    def test_refused_resume_does_not_profile_first(
+        self, tmp_path, curves_by_name, monkeypatch
+    ):
+        """A snapshot taken at another scale is refused before the
+        profiling pass: the checkpoint metadata does not depend on the
+        curves."""
+        import repro.analysis.montecarlo as montecarlo
+
+        path = str(tmp_path / "mc.json")
+        run_monte_carlo(4, CFG, curves=curves_by_name, seed=5,
+                        checkpoint_path=path)
+        calls = []
+        monkeypatch.setattr(
+            montecarlo, "collect_profiles", lambda **kw: calls.append(kw)
+        )
+        with pytest.raises(CheckpointMismatchError, match="sets_per_bank"):
+            run_monte_carlo(4, scaled_config(16), seed=5,
+                            checkpoint_path=path, resume=True)
+        assert calls == []
+
 
 class TestDetailedSweepResume:
     SETTINGS = RunSettings(duration_cycles=300_000.0, seed=3)

@@ -5,7 +5,7 @@ the guard would otherwise contain silently."""
 import numpy as np
 import pytest
 
-from repro.cache.cacheset import CacheSet
+from repro.cache.bank import CacheBank
 from repro.cache.nuca import NucaL2
 from repro.cache.partition_map import (
     BankAllocation,
@@ -28,45 +28,92 @@ def sanitizer():
     return ReproSanitizer()
 
 
-# ------------------------------------------------------------- cache sets
+# ------------------------------------------------------------- cache image
+
+
+def filled_bank(bank_id=0, set_index=0):
+    """An 8-set, 4-way bank with three lines in ``set_index``."""
+    bank = CacheBank(bank_id, 8, 4)
+    for k in (1, 2, 3):
+        bank.fill(0, set_index + 8 * k)
+    return bank
 
 
 class TestCheckSet:
-    def _filled_set(self):
-        cset = CacheSet(4)
-        for tag in (10, 20, 30):
-            cset.insert(tag, 0, (0, 1, 2, 3))
-        return cset
-
     def test_healthy_set_passes(self, sanitizer):
-        sanitizer.check_set(self._filled_set())
+        sanitizer.check_bank(filled_bank())
         assert sanitizer.checks_run == 1
 
     def test_duplicate_stamp_detected(self, sanitizer):
-        cset = self._filled_set()
-        ways = [cset._map[10], cset._map[20]]
-        cset._stamps[ways[0]] = cset._stamps[ways[1]]
+        bank = filled_bank()
+        stamps = bank.image.stamps
+        stamps[bank.slot_of(8)] = stamps[bank.slot_of(16)]
         with pytest.raises(SanitizerViolation, match="lru-uniqueness"):
-            sanitizer.check_set(cset)
+            sanitizer.check_bank(bank)
 
     def test_duplicate_tag_detected(self, sanitizer):
-        cset = self._filled_set()
-        empty_way = cset._tags.index(None)
-        cset._tags[empty_way] = 10  # line 10 now resident twice
+        bank = filled_bank()
+        empty_slot = bank.image.tags.index(-1)
+        bank.image.tags[empty_slot] = 8  # line 8 now resident twice
         with pytest.raises(SanitizerViolation, match="resident twice"):
-            sanitizer.check_set(cset)
+            sanitizer.check_bank(bank)
 
     def test_tag_map_divergence_detected(self, sanitizer):
-        cset = self._filled_set()
-        cset._map[20] = cset._map[10]  # map points 20 at 10's way
-        with pytest.raises(SanitizerViolation, match="tag-map"):
-            sanitizer.check_set(cset)
+        bank = filled_bank()
+        where = bank.image.where
+        where[16] = where[8]  # the directory points 16 at 8's slot
+        with pytest.raises(SanitizerViolation, match="directory"):
+            sanitizer.check_bank(bank)
 
     def test_context_in_message(self, sanitizer):
-        cset = self._filled_set()
-        cset._map[20] = cset._map[10]
+        bank = filled_bank(bank_id=2, set_index=7)
+        bank.image.where[15] = bank.image.where[23]
         with pytest.raises(SanitizerViolation, match=r"bank=2, set=7"):
-            sanitizer.check_set(cset, bank=2, set_index=7)
+            sanitizer.check_bank(bank)
+
+
+class TestImageInvariants:
+    """One tamper per image invariant the victim rule and the directory
+    depend on."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("stamps", 5), ("owner", 0), ("dirty", True),
+    ])
+    def test_empty_slot_must_be_blank(self, sanitizer, field, value):
+        bank = filled_bank()
+        empty_slot = bank.image.tags.index(-1)
+        getattr(bank.image, field)[empty_slot] = value
+        with pytest.raises(SanitizerViolation, match="slot-state"):
+            sanitizer.check_bank(bank)
+
+    def test_resident_slot_needs_a_stamp(self, sanitizer):
+        bank = filled_bank()
+        bank.image.stamps[bank.slot_of(8)] = 0  # would win the victim scan
+        with pytest.raises(SanitizerViolation, match="never-touched"):
+            sanitizer.check_bank(bank)
+
+    def test_directory_entry_without_a_line_detected(self, sanitizer):
+        l2 = NucaL2(L2Config(num_banks=4, bank_ways=4, sets_per_bank=16), 2)
+        l2.apply_partition(equal_partition_map(2, 4, 4))
+        l2.access(0, 5)
+        l2.image.where[99] = l2.image.tags.index(-1)
+        with pytest.raises(SanitizerViolation, match="directory tracks 2"):
+            sanitizer.check_installation(l2)
+
+    def test_hash_line_outside_its_home_detected(self, sanitizer):
+        l2 = NucaL2(
+            L2Config(num_banks=4, bank_ways=4, sets_per_bank=16), 2,
+            placement="hash",
+        )
+        l2.share_all()
+        l2.access(0, 5)
+        sanitizer.check_installation(l2)
+        home = l2.shared_home(5)
+        away = l2.banks[(home + 1) % 4]
+        ev = l2.banks[home].invalidate(5)
+        away.fill(ev.owner, 5)  # consistent image, wrong bank
+        with pytest.raises(SanitizerViolation, match="hash-home"):
+            sanitizer.check_installation(l2)
 
 
 # ------------------------------------------------------- partition checks
@@ -194,8 +241,12 @@ class TestInstallation:
 
     def test_directory_corruption_detected(self, sanitizer):
         l2 = self._l2()
-        line = next(iter(l2._where))
-        l2._where[line] = (l2._where[line] + 1) % 4
+        where = l2.image.where
+        line = next(iter(where))
+        # the same slot position, one bank over
+        where[line] = (where[line] + (1 << l2.image.slot_bits)) % len(
+            l2.image.tags
+        )
         with pytest.raises(SanitizerViolation, match="directory"):
             sanitizer.check_installation(l2)
 
