@@ -26,6 +26,7 @@ import numpy as np
 from repro.config import SystemConfig, scaled_config
 from repro.errors import CheckpointCorrupt, ConfigError
 from repro.fabric.supervisor import Supervisor
+from repro.obs.tracer import Tracer
 from repro.parallel.profile_cache import ProfileCache
 from repro.partitioning.registry import (
     PolicyContext,
@@ -37,17 +38,10 @@ from repro.partitioning.unrestricted import predicted_misses, unrestricted_parti
 from repro.profiling.miss_curve import MissCurve
 from repro.profiling.msa import MSAProfiler
 from repro.resilience.checkpoint import SweepCheckpoint
-from repro.telemetry.timing import wall_clock
-from repro.telemetry.tracer import Tracer
 from repro.util.atomic_write import atomic_write_text
 from repro.workloads.mixes import Mix, random_mixes
 from repro.workloads.spec_like import ALL_NAMES, get
 from repro.workloads.synthetic import generate_trace
-
-#: traced sweeps emit one ``progress`` heartbeat per this fraction of the
-#: sweep (at least every item); the cadence is a pure function of the
-#: item count, so serial, parallel and resumed streams stay equal.
-HEARTBEAT_FRACTION = 100
 
 
 def collect_profiles(
@@ -396,12 +390,11 @@ def run_monte_carlo(
     results merge in submission order, so the points are bit-identical
     for every ``jobs`` value and every kill/resume split.
 
-    ``tracer`` records one ``mc_point`` event per mix plus ``progress``
-    heartbeats over the whole sweep.  The stream is resume-stable:
-    ``run_meta`` omits the restored count, restored points are re-emitted
-    in their original slots, and the supervisor's ``sweep_item`` events
-    are advisory — so a killed-and-resumed sweep's canonical trace equals
-    an uninterrupted serial run's.
+    ``tracer`` records one ``mc_point`` event per mix.  The stream is
+    resume-stable: ``run_meta`` omits the restored count, restored points
+    are re-emitted in their original slots, and the supervisor's
+    ``sweep_item`` events are advisory — so a killed-and-resumed sweep's
+    canonical trace equals an uninterrupted serial run's.
 
     ``policies`` additionally projects each mix through the named registry
     policies (must be :func:`~repro.partitioning.registry.analytic_policies`)
@@ -461,8 +454,6 @@ def run_monte_carlo(
         jobs, initializer=_montecarlo_init,
         initargs=(curves, cfg, min_ways, policies), tracer=tracer,
     )
-    heartbeat = max(1, num_mixes // HEARTBEAT_FRACTION)
-    start = wall_clock() if tracer is not None else 0.0
 
     def note(point: MonteCarloPoint, index: int) -> None:
         if tracer is None:
@@ -482,12 +473,6 @@ def run_monte_carlo(
             ways=point.bank_aware_ways,
             **extra,
         )
-        done = index + 1
-        if done % heartbeat == 0 or done == num_mixes:
-            tracer.emit(
-                "progress", done=done, total=num_mixes,
-                source="montecarlo", wall_s=wall_clock() - start,
-            )
 
     for index, point in enumerate(result.points):
         note(point, index)

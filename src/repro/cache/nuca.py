@@ -39,7 +39,6 @@ from typing import NamedTuple
 from repro.cache.bank import CacheImage, Eviction
 from repro.cache.partition_map import CorePartition, PartitionMap
 from repro.config import L2Config
-from repro.telemetry.metrics import MetricsRegistry
 from repro.util.bits import ilog2
 from repro.util.floorplan import distance_ordered_banks
 
@@ -548,27 +547,6 @@ class NucaL2:
 
     def occupancy(self) -> int:
         return sum(b.occupancy() for b in self.banks)
-
-    def publish_metrics(self, registry: MetricsRegistry) -> None:
-        """Publish cache-level totals into a telemetry registry.
-
-        Pull-style on purpose: the access path never touches the registry,
-        so untraced runs pay nothing.  Every value is simulated state,
-        identical between serial and parallel runs.
-        """
-        registry.counter("l2.hits").inc(self.stats.total_hits())
-        registry.counter("l2.misses").inc(self.stats.total_misses())
-        registry.counter("l2.migrations").inc(self.stats.migrations)
-        registry.counter("l2.writebacks").inc(self.stats.writebacks)
-        registry.gauge("l2.occupancy").set(self.occupancy())
-        per_bank = registry.histogram("l2.bank_occupancy")
-        for bank in self.banks:
-            per_bank.observe(bank.occupancy())
-        hit_hist = registry.histogram("l2.bank_hits")
-        miss_hist = registry.histogram("l2.bank_misses")
-        for bank in self.banks:
-            hit_hist.observe(bank.stats.total_hits())
-            miss_hist.observe(bank.stats.total_misses())
 
     def flush(self) -> int:
         """Invalidate everything (returns the number of lines dropped)."""

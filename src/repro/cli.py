@@ -14,10 +14,8 @@ Gives downstream users the paper's pipeline without writing Python:
 * ``stats``      — aggregate the per-epoch time series of a stored run
   or trace (min/max/mean/p50/p95 per column; text, JSON or CSV).
 * ``runs``       — query the run store populated by ``--store`` runs
-  (``list``/``show`` with ``--json``, ``query`` with provenance filters).
+  (``list`` with provenance filters, ``show`` one manifest; ``--json``).
 * ``diff``       — first-divergence comparison of two traces/stored runs.
-* ``watch``      — live-monitor a growing trace (progress, ETA, guards;
-  ``--metrics`` adds the latest epoch's time-series row).
 * ``suite``      — list the 26 SPEC-like workload models.
 * ``machine``    — print the (scaled) Table I machine description.
 * ``lint``       — run the repository's domain-aware static analysis.
@@ -35,10 +33,8 @@ Examples::
     python -m repro montecarlo --mixes 1000 --checkpoint mc.json --resume
     python -m repro report trace.jsonl --check --chrome trace.chrome.json
     python -m repro stats trace.jsonl --select core_miss_rate --format csv
-    python -m repro runs list
-    python -m repro runs query --scheme bank-aware --since 2026-08
+    python -m repro runs list --scheme bank-aware --since 2026-08
     python -m repro diff serial.jsonl parallel.jsonl
-    python -m repro watch trace.jsonl --interval 2 --metrics
     python -m repro lint src benchmarks examples --format json
 """
 
@@ -65,16 +61,9 @@ from repro.lint import (
     render_rules,
     render_text,
 )
-from repro.obs import (
-    DEFAULT_STORE,
-    RunStore,
-    diff_traces,
-    headline_from_comparison,
-    headline_from_montecarlo,
-    headline_from_result,
+from repro.obs import Tracer, check_trace, read_jsonl, write_jsonl
+from repro.obs.analytics import (
     query_runs,
-    render_diff_json,
-    render_diff_text,
     render_digest_json,
     render_digest_text,
     render_runs_query_text,
@@ -84,7 +73,15 @@ from repro.obs import (
     resolve_series,
     runs_query_rows,
     series_stats,
-    watch_trace,
+)
+from repro.obs.chrome import write_chrome_trace
+from repro.obs.diff import diff_traces, render_diff_json, render_diff_text
+from repro.obs.store import (
+    DEFAULT_STORE,
+    RunStore,
+    headline_from_comparison,
+    headline_from_montecarlo,
+    headline_from_result,
 )
 from repro.parallel import ProfileCache
 from repro.partitioning import (
@@ -108,13 +105,6 @@ from repro.sim import (
     RunSettings,
     compare_schemes,
     run_mix,
-)
-from repro.telemetry import (
-    Tracer,
-    check_trace,
-    read_jsonl,
-    write_chrome_trace,
-    write_jsonl,
 )
 from repro.workloads import ALL_NAMES, TABLE_III_SETS, Mix, get, suite
 
@@ -463,9 +453,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                            sanitize=args.sanitize,
                            trace=bool(args.trace),
                            sim_backend=args.sim_backend)
-    # the sink feeds 'repro watch' while the run grows; write_jsonl then
-    # atomically replaces it with the complete durable stream
-    tracer = Tracer(sink=args.trace) if args.trace else None
+    tracer = Tracer() if args.trace else None
     if tracer is not None:
         tracer.emit_run_meta("compare", detail=str(mix))
     # relative metrics normalise against No-partitions, so the baseline
@@ -563,8 +551,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume requires --checkpoint PATH")
     policies = analytic_policies() if args.rank_policies else None
-    # live sink for 'repro watch'; write_jsonl atomically finalises it
-    tracer = Tracer(sink=args.trace) if args.trace else None
+    tracer = Tracer() if args.trace else None
     result = run_monte_carlo(
         args.mixes,
         cfg,
@@ -617,8 +604,8 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 
 def cmd_runs(args: argparse.Namespace) -> int:
     store = RunStore(args.store)
-    if args.action == "query":
-        records = query_runs(
+    if args.action == "list":
+        rows = runs_query_rows(query_runs(
             store.list(),
             source=args.source,
             scheme=args.scheme,
@@ -626,37 +613,11 @@ def cmd_runs(args: argparse.Namespace) -> int:
             fingerprint=args.fingerprint,
             since=args.since,
             until=args.until,
-        )
-        rows = runs_query_rows(records)
+        ))
         if args.json:
             print(json.dumps(rows, indent=2, sort_keys=True))
         else:
             print(render_runs_query_text(rows))
-        return 0
-    if args.action == "list":
-        records = store.list()
-        if args.json:
-            print(json.dumps(
-                runs_query_rows(records), indent=2, sort_keys=True
-            ))
-            return 0
-        if not records:
-            print(f"no runs stored under {store.root}")
-            return 0
-        rows = []
-        for r in records:
-            m = r.manifest
-            trace = (
-                f"{m.get('trace_events')} events" if m.get("trace") else "-"
-            )
-            rows.append(
-                (r.run_id, m.get("created", "?"), m.get("git_rev", "?"),
-                 m.get("config_fingerprint", "?")[:8], trace)
-            )
-        print(format_table(
-            ["run id", "created (UTC)", "rev", "config", "trace"], rows,
-            title=f"run store {store.root} ({len(records)} runs)",
-        ))
         return 0
     # action == "show"
     if not args.run_id:
@@ -683,16 +644,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
     else:
         print(render_diff_text(report))
     return report.exit_code
-
-
-def cmd_watch(args: argparse.Namespace) -> int:
-    return watch_trace(
-        args.trace,
-        interval=args.interval,
-        once=args.once,
-        timeout=args.timeout,
-        metrics=args.metrics,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -837,31 +788,31 @@ def build_parser() -> argparse.ArgumentParser:
         "runs",
         help="query the run store populated by --store runs",
     )
-    p.add_argument("action", choices=("list", "show", "query"),
-                   help="'list' every archived run, 'show' one manifest, "
-                        "or 'query' with provenance filters")
+    p.add_argument("action", choices=("list", "show"),
+                   help="'list' the archived runs (all, or those matching "
+                        "the filters below), or 'show' one manifest")
     p.add_argument("run_id", nargs="?",
                    help="run id to show (from 'repro runs list')")
     p.add_argument("--store", default=DEFAULT_STORE, metavar="DIR",
                    help=f"run store root (default: {DEFAULT_STORE})")
     p.add_argument("--json", action="store_true",
-                   help="machine-readable output (list/query)")
+                   help="machine-readable output (list)")
     p.add_argument("--source", metavar="CMD",
-                   help="query filter: archiving command "
+                   help="list filter: archiving command "
                         "(simulate/compare/montecarlo)")
     p.add_argument("--scheme", metavar="NAME",
-                   help="query filter: comparison headline carries this "
+                   help="list filter: comparison headline carries this "
                         "scheme")
     p.add_argument("--workload", metavar="NAME",
-                   help="query filter: any archived workload name "
+                   help="list filter: any archived workload name "
                         "contains NAME")
     p.add_argument("--fingerprint", metavar="HEX",
-                   help="query filter: config fingerprint prefix")
+                   help="list filter: config fingerprint prefix")
     p.add_argument("--since", metavar="ISO",
-                   help="query filter: created >= this ISO-8601 prefix "
+                   help="list filter: created >= this ISO-8601 prefix "
                         "(e.g. 2026-08)")
     p.add_argument("--until", metavar="ISO",
-                   help="query filter: created <= this ISO-8601 prefix")
+                   help="list filter: created <= this ISO-8601 prefix")
     p.set_defaults(fn=cmd_runs)
 
     p = sub.add_parser(
@@ -884,24 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run store used to resolve run ids "
                         f"(default: {DEFAULT_STORE})")
     p.set_defaults(fn=cmd_diff)
-
-    p = sub.add_parser(
-        "watch",
-        help="live-monitor a growing trace (progress, throughput, ETA)",
-    )
-    p.add_argument("trace", metavar="TRACE",
-                   help="JSONL trace being written by a --trace run")
-    p.add_argument("--interval", type=_positive_float, default=1.0,
-                   metavar="S", help="poll interval in seconds (default 1)")
-    p.add_argument("--once", action="store_true",
-                   help="render one snapshot and exit")
-    p.add_argument("--timeout", type=_positive_float, default=None,
-                   metavar="S",
-                   help="give up (exit 1) after S seconds without completion")
-    p.add_argument("--metrics", action="store_true",
-                   help="also show the latest epoch's time-series row per "
-                        "scheme (miss rates, partition, bank pressure)")
-    p.set_defaults(fn=cmd_watch)
 
     p = sub.add_parser(
         "lint",

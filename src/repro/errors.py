@@ -26,7 +26,6 @@ __all__ = [
     "ProfilerFault",
     "ReproError",
     "SanitizerViolation",
-    "SimulationInvariantError",
 ]
 
 
@@ -108,16 +107,6 @@ class CheckpointMismatchError(CheckpointCorrupt):
 #: the short name predates the ``*Error`` convention and stays for
 #: backwards compatibility.
 CheckpointCorruptError = CheckpointCorrupt
-
-
-class SimulationInvariantError(ReproError):
-    """Simulator state violated an internal should-be-impossible invariant.
-
-    Replaces load-bearing ``assert`` statements on library paths (a
-    directory entry pointing at a bank that does not hold the line, a
-    replacement pass selecting no victim), so the checks survive
-    ``python -O`` and carry context when they fire.
-    """
 
 
 class SanitizerViolation(ReproError):

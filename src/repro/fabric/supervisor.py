@@ -45,8 +45,8 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
 from repro.errors import ConfigError, PoisonItemError
-from repro.telemetry.timing import wall_clock
-from repro.telemetry.tracer import Tracer
+from repro.obs.timing import wall_clock
+from repro.obs.tracer import Tracer
 
 #: submission-window multiple: at most this many items per worker are
 #: in flight or buffered at once.

@@ -12,7 +12,7 @@ this repository's layout:
     [tool.repro-lint.rules]                  # rule-specific path scoping
     det001-allow = ["repro/util/rng.py"]     # raw RNG (DET001 and DET003)
     det002-paths = ["repro/sim/", "repro/cache/", "repro/partitioning/"]
-    det002-allow = ["repro/telemetry/timing.py"]  # clock chokepoints
+    det002-allow = ["repro/obs/timing.py"]  # clock chokepoints
     inv001-allow = ["repro/partitioning/", "repro/resilience/guard.py",
                     "repro/cache/partition_map.py"]
     api001-annotation-paths = ["src/"]

@@ -77,7 +77,7 @@ def _excluded(path: Path, exclude: tuple[str, ...]) -> bool:
     """Does any exclusion fragment match a *path-segment run* of ``path``?
 
     Fragments are matched against whole ``/``-separated segments, never raw
-    substrings: ``obs`` excludes ``repro/obs/watch.py`` but not ``jobs.py``,
+    substrings: ``obs`` excludes ``repro/obs/store.py`` but not ``jobs.py``,
     and a multi-segment fragment like ``repro/obs`` must appear as a
     contiguous segment run.  (Raw containment used to exclude unintended
     files whose names merely *contained* a fragment.)

@@ -180,7 +180,7 @@ def _det002(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
     if not ctx.matches(ctx.config.det002_paths):
         return
     if ctx.matches(ctx.config.det002_allow):
-        return  # configured clock chokepoint (e.g. telemetry/timing.py)
+        return  # configured clock chokepoint (e.g. obs/timing.py)
     for node in ctx.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:

@@ -19,7 +19,7 @@ spans modules:
   draw order would depend on scheduling.
 * **TEL001 — telemetry schema drift.**  The literal field set of every
   ``tracer.emit("type", field=...)`` call is checked against
-  ``telemetry/events.py``'s declared ``EVENT_SCHEMAS``: unknown event
+  ``obs/events.py``'s declared ``EVENT_SCHEMAS``: unknown event
   types, unknown fields, and missing required fields are all drift that
   runtime validation only catches when the emitting path runs.
 * **ERR001 — CLI-reachable raises use the taxonomy.**  Every ``raise``
@@ -81,7 +81,7 @@ CLI_HANDLER_PREFIX = "cmd_"
 ERR001_BASE = "repro.errors.ReproError"
 
 #: the module whose EVENT_SCHEMAS/COMMON_FIELDS TEL001 checks against.
-EVENTS_MODULE = "repro.telemetry.events"
+EVENTS_MODULE = "repro.obs.events"
 
 #: raises that are *not* ReproError but are already handled cleanly by the
 #: CLI boundary (argparse exits, OS errors, interpreter control flow).
@@ -387,7 +387,7 @@ def extract_event_schemas(
     "TEL001",
     "telemetry emission drifts from the declared event schema",
     "error",
-    "emit sites must agree with telemetry/events.py: an unknown event "
+    "emit sites must agree with obs/events.py: an unknown event "
     "type, an unknown field, or a missing required field only fails at "
     "runtime when that emitting path happens to execute — CI should not "
     "have to wait for it",

@@ -11,7 +11,7 @@ produces:
 * :func:`series_stats` + renderers — ``repro stats <run|trace>``:
   aggregate/quantile any column of a per-epoch time series
   (:mod:`repro.obs.series`), as text, JSON or CSV;
-* :func:`query_runs` + renderers — ``repro runs query``: filter stored
+* :func:`query_runs` + renderers — ``repro runs list``: filter stored
   runs by source/scheme/workload/config-fingerprint/date and tabulate
   their headline metrics.
 
@@ -35,6 +35,7 @@ from pathlib import Path
 from repro.obs.errors import ObsError
 from repro.obs.series import build_series, load_series
 from repro.obs.store import RunRecord, RunStore
+from repro.obs.tracer import read_jsonl
 
 #: the quantiles ``repro stats`` reports per column.
 STAT_QUANTILES = (0.5, 0.95)
@@ -211,8 +212,6 @@ def resolve_series(spec: str, store: RunStore) -> dict:
     if candidate.is_file():
         if candidate.name.endswith(".gz"):
             return load_series(candidate)
-        from repro.telemetry.tracer import read_jsonl
-
         return build_series(read_jsonl(candidate))
     record = store.get(spec)
     series = record.series_path
@@ -223,8 +222,6 @@ def resolve_series(spec: str, store: RunStore) -> dict:
         raise ObsError(
             f"run {spec!r} has neither a time-series sidecar nor a trace"
         )
-    from repro.telemetry.tracer import read_jsonl
-
     return build_series(read_jsonl(trace))
 
 

@@ -1,6 +1,6 @@
 """Chrome-trace (``about://tracing`` / Perfetto) export of a trace stream.
 
-Renders one JSONL telemetry stream as a Chrome Trace Event Format file
+Renders one JSONL trace stream as a Chrome Trace Event Format file
 with two process tracks:
 
 * **pid 1 — simulated time**: instant events for every epoch decision,
@@ -27,7 +27,7 @@ CYCLES_PER_US = 1000.0
 
 
 def chrome_trace(events: Iterable[Mapping]) -> dict:
-    """Convert a telemetry stream to a Chrome Trace Event Format payload."""
+    """Convert a trace stream to a Chrome Trace Event Format payload."""
     trace: list[dict] = [
         {"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
          "args": {"name": "simulated time"}},

@@ -1,11 +1,11 @@
-"""First-divergence diffing of two telemetry traces (``repro diff``).
+"""First-divergence diffing of two traces (``repro diff``).
 
 The paper's evaluation — and this repository's determinism contract — is
 comparative: the interesting question about two runs is never "do the
 end-of-run aggregates roughly agree" but "*where* did the decision streams
 first part ways".  This module walks two canonical event streams (the
-deterministic projection of :func:`repro.telemetry.events.canonical_events`,
-wall-clock fields stripped) in lockstep and reports the **first** event at
+deterministic projection of :func:`repro.obs.events.canonical_events`,
+advisory events dropped) in lockstep and reports the **first** event at
 which they differ, annotated at the domain level:
 
 * ``epoch_decision`` divergence names the epoch and the per-core way
@@ -31,7 +31,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.obs.errors import ObsError
-from repro.telemetry.events import canonical_events
+from repro.obs.events import canonical_events
 
 #: domain annotations attached to diverging fields of an epoch_decision —
 #: the paper's placement rules make these the semantically loaded ones.

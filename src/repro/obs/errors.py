@@ -1,7 +1,7 @@
-"""Typed errors of the run observatory.
+"""The one typed error of the observability package.
 
-All derive from :class:`~repro.errors.ReproError`, so the CLI's
-contained-failure handling (clean message, exit 2) covers them for free.
+It derives from :class:`~repro.errors.ReproError`, so the CLI's
+contained-failure handling (clean message, exit 2) covers it for free.
 """
 
 from __future__ import annotations
@@ -10,4 +10,5 @@ from repro.errors import ReproError
 
 
 class ObsError(ReproError):
-    """A run-store, diff, watch or analytics operation failed cleanly."""
+    """An event violates its schema, a trace, manifest or time series is
+    malformed, or a run-store, diff or analytics operation failed."""

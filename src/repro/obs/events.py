@@ -1,6 +1,6 @@
-"""Typed, schema-stable telemetry events.
+"""Typed, schema-stable trace events.
 
-Every event a :class:`~repro.telemetry.tracer.Tracer` emits is a flat JSON
+Every event a :class:`~repro.obs.tracer.Tracer` emits is a flat JSON
 object with a ``type`` field naming one of the schemas below and a ``seq``
 field giving its position in the merged (submission-order) stream.  The
 schema is the contract between the emitters (epoch controller, decision
@@ -8,11 +8,11 @@ guard, NUCA L2, sweep harnesses) and the consumers (``repro report``, the
 Chrome-trace exporter, CI validation): fields are never renamed, only
 added, and :data:`SCHEMA_VERSION` is bumped on any breaking change.
 
-Determinism is part of the contract.  Fields marked ``deterministic=False``
-(wall-clock timings) are the *only* fields allowed to differ between a
-serial and a ``--jobs N`` run of the same experiment;
-:func:`canonical_events` projects a stream onto its deterministic fields so
-equality can be asserted exactly.
+Determinism is part of the contract.  Wall-clock fields exist only in
+the advisory event types (:data:`ADVISORY_EVENTS`), the *only* events
+allowed to differ between a serial and a ``--jobs N`` run of the same
+experiment; :func:`canonical_events` drops them so equality can be
+asserted exactly.
 """
 
 from __future__ import annotations
@@ -20,14 +20,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from repro.errors import ReproError
-
 #: bumped on any breaking change to an event schema below.
 SCHEMA_VERSION = 1
-
-
-class TelemetryError(ReproError):
-    """An event violates its schema, or a trace file is malformed."""
 
 
 @dataclass(frozen=True)
@@ -36,9 +30,6 @@ class FieldSpec:
 
     types: tuple[type, ...]
     required: bool = True
-    #: False for wall-clock fields, which may differ run-to-run and are
-    #: excluded from serial-vs-parallel stream equality.
-    deterministic: bool = True
 
 
 _NUM = FieldSpec((int, float))
@@ -47,7 +38,6 @@ _STR = FieldSpec((str,))
 _LIST = FieldSpec((list, tuple))
 _OPT_STR = FieldSpec((str,), required=False)
 _OPT_LIST = FieldSpec((list, tuple), required=False)
-_WALL = FieldSpec((int, float), deterministic=False)
 
 #: fields present on (or permitted for) every event regardless of type.
 #: ``scheme`` lets multi-scheme streams (``compare``) tag merged worker
@@ -132,17 +122,18 @@ EVENT_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     "sweep_item": {
         "index": _INT,
         "label": _STR,
-        "wall_s": _WALL,
+        "wall_s": _NUM,
     },
-    # periodic sweep heartbeat, emitted parent-side at yield points every
-    # fixed number of completed items — deterministic fields agree between
-    # serial and parallel runs; ``wall_s`` (elapsed seconds since the sweep
-    # began) feeds `repro watch` throughput/ETA and is wall clock.
+    # periodic sweep heartbeat (done/total, and ``wall_s`` seconds since
+    # the sweep began) that earlier versions emitted for a live monitor.
+    # Nothing emits it any more; the schema is kept so traces stored by
+    # earlier versions still validate and diff.  Advisory: ``wall_s`` is
+    # wall clock, so the canonical projection drops the whole event.
     "progress": {
         "done": _INT,
         "total": _INT,
         "source": _STR,  #: 'montecarlo' | 'sweep'
-        "wall_s": _WALL,
+        "wall_s": _NUM,
     },
     # one fabric supervision action (retry / timeout / quarantine / degrade
     # / requeue).  Nothing emits it any more — the sweep fabric fails fast
@@ -169,18 +160,29 @@ EVENT_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "name": _STR,
         "path": _STR,
         "depth": _INT,
-        "t0": _WALL,
-        "t1": _WALL,
+        "t0": _NUM,
+        "t1": _NUM,
     },
 }
 
 #: event types that may legitimately differ between two otherwise
 #: identical runs (a stored trace from an earlier version may carry
-#: supervisor retries or profiler spans; a resumed sweep yields only the
-#: items it recomputed).
-#: :func:`canonical_events` removes them wholesale and renumbers ``seq``,
-#: so the determinism gate compares only the computed stream.
-ADVISORY_EVENTS = frozenset({"supervisor", "span", "sweep_item"})
+#: supervisor retries, profiler spans or progress heartbeats; a resumed
+#: sweep yields only the items it recomputed).  They hold every
+#: wall-clock field of the catalogue.  :func:`canonical_events` removes
+#: them wholesale and renumbers ``seq``, so the determinism gate compares
+#: only the computed stream.
+ADVISORY_EVENTS = frozenset({"supervisor", "span", "sweep_item", "progress"})
+
+#: list fields of one event type that must share one length: a
+#: ``bank_snapshot`` carries one entry per bank in each of its bank
+#: counters, and one per core in each of its core counters.
+ALIGNED_FIELDS: dict[str, tuple[tuple[str, ...], ...]] = {
+    "bank_snapshot": (
+        ("hits", "misses", "occupancy", "queue_served", "queue_delay"),
+        ("core_hits", "core_misses"),
+    ),
+}
 
 
 def validate_event(event: Mapping) -> list[str]:
@@ -213,6 +215,17 @@ def validate_event(event: Mapping) -> list[str]:
     unknown = set(event) - set(schema) - set(COMMON_FIELDS)
     if unknown:
         problems.append(f"{etype}: unknown fields {sorted(unknown)}")
+    for group in ALIGNED_FIELDS.get(etype, ()):
+        lengths = {
+            name: len(event[name])
+            for name in group
+            if isinstance(event.get(name), (list, tuple))
+        }
+        if len(set(lengths.values())) > 1:
+            problems.append(
+                f"{etype}: fields of unequal length "
+                + ", ".join(f"{n}={k}" for n, k in lengths.items())
+            )
     return problems
 
 
@@ -236,42 +249,19 @@ def check_trace(events: Sequence[Mapping]) -> list[str]:
 
 def canonical_events(events: Iterable[Mapping]) -> list[dict]:
     """The deterministic projection of a stream: advisory event types
-    (:data:`ADVISORY_EVENTS`) removed entirely, every surviving event
-    stripped of its ``deterministic=False`` fields, and ``seq`` renumbered
-    to the canonical position — suitable for exact ``==`` comparison
-    between serial, parallel, and crash-resumed runs.  For a stream with
-    no advisory events the projection keeps every original ``seq``."""
+    (:data:`ADVISORY_EVENTS`) dropped and ``seq`` renumbered to the
+    canonical position — suitable for exact ``==`` comparison between
+    serial, parallel, and crash-resumed runs.  For a stream with no
+    advisory events the projection keeps every original ``seq``."""
     out = []
     for event in events:
         if event.get("type") in ADVISORY_EVENTS:
             continue
-        schema = EVENT_SCHEMAS.get(event.get("type"), {})
-        projected = {
-            k: v
-            for k, v in event.items()
-            if schema.get(k, COMMON_FIELDS.get(k, _STR)).deterministic
-        }
+        projected = dict(event)
         if "seq" in projected:
             projected["seq"] = len(out)
         out.append(projected)
     return out
-
-
-def schema_rows() -> list[tuple[str, str, str]]:
-    """(event type, field, declared shape) rows for documentation output."""
-    rows = []
-    for etype in sorted(EVENT_SCHEMAS):
-        for name, spec in EVENT_SCHEMAS[etype].items():
-            shape = "/".join(t.__name__ for t in spec.types)
-            notes = []
-            if not spec.required:
-                notes.append("optional")
-            if not spec.deterministic:
-                notes.append("wall-clock")
-            if notes:
-                shape += f" ({', '.join(notes)})"
-            rows.append((etype, name, shape))
-    return rows
 
 
 def _jsonify(value: object) -> object:
@@ -294,14 +284,14 @@ def jsonify_fields(fields: Mapping[str, object]) -> dict:
 
 __all__: Sequence[str] = (
     "ADVISORY_EVENTS",
+    "ALIGNED_FIELDS",
     "COMMON_FIELDS",
     "EVENT_SCHEMAS",
     "FieldSpec",
     "SCHEMA_VERSION",
-    "TelemetryError",
     "canonical_events",
+    "check_trace",
     "jsonify_fields",
-    "schema_rows",
     "validate_event",
     "validate_events",
 )

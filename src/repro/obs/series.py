@@ -14,10 +14,11 @@ plus the end-of-run ``epoch=-1`` snapshot), per scheme:
 * ``migrations`` / ``writebacks`` — windowed deltas;
 * ``guard_actions`` / ``epoch_skips`` — actions since the previous row.
 
-Determinism is inherited, not re-established: the series is a pure
-function of :func:`~repro.telemetry.events.canonical_events`, so a serial
-and a ``--jobs N`` run — and the reference and batched sim backends —
-produce byte-identical sidecars.  :func:`write_series` pins the gzip
+Determinism is inherited, not re-established: the fold reads only four
+non-advisory event types, so the series is a pure function of
+:func:`~repro.obs.events.canonical_events`, and a serial and a ``--jobs
+N`` run — and the reference and batched sim backends — produce
+byte-identical sidecars.  :func:`write_series` pins the gzip
 header (``mtime=0``) and uses canonical JSON, making the *file* identical
 too, which is what the CI byte-identity gate compares.
 """
@@ -31,13 +32,18 @@ from collections.abc import Iterable, Mapping
 from pathlib import Path
 
 from repro.obs.errors import ObsError
-from repro.telemetry.events import SCHEMA_VERSION, canonical_events
+from repro.obs.events import SCHEMA_VERSION, validate_event
 
 SERIES_FORMAT = "repro-timeseries"
 SERIES_VERSION = 1
 
 #: sidecar filename, next to ``trace.jsonl`` in an archived run.
 SERIES_NAME = "timeseries.json.gz"
+
+#: the event types the per-epoch fold reads; none is advisory.
+FOLDED_EVENTS = frozenset(
+    {"bank_snapshot", "epoch_decision", "guard_action", "epoch_skip"}
+)
 
 
 def _snapshot_row(event: Mapping, state: dict) -> dict:
@@ -96,18 +102,22 @@ def _columnar(rows: list[dict]) -> dict:
 def build_series(events: Iterable[Mapping]) -> dict:
     """The per-epoch time-series payload of one trace's event stream.
 
-    Operates on the canonical projection, so advisory events and
-    wall-clock fields can never leak into the series.  Streams without
-    ``bank_snapshot`` events (Monte Carlo sweeps) produce an empty
-    ``schemes`` map.
+    Reads only :data:`FOLDED_EVENTS`, so advisory events and their
+    wall-clock fields can never leak into the series.  Each folded event
+    is schema-validated first: a damaged one raises :class:`ObsError`
+    naming its ``seq``.  Streams without ``bank_snapshot`` events (Monte
+    Carlo sweeps) produce an empty ``schemes`` map.
     """
     state: dict[str, dict] = {}
-    for event in canonical_events(events):
-        etype = event["type"]
-        if etype not in (
-            "bank_snapshot", "epoch_decision", "guard_action", "epoch_skip"
-        ):
+    for event in events:
+        etype = event.get("type")
+        if etype not in FOLDED_EVENTS:
             continue
+        problems = validate_event(event)
+        if problems:
+            raise ObsError(
+                f"trace event seq {event.get('seq')}: {'; '.join(problems)}"
+            )
         key = event.get("scheme", "")
         st = state.get(key)
         if st is None:

@@ -35,8 +35,8 @@ from typing import TYPE_CHECKING
 from repro.config import SystemConfig
 from repro.obs.errors import ObsError
 from repro.obs.series import SERIES_NAME, build_series, write_series
-from repro.telemetry.events import SCHEMA_VERSION
-from repro.telemetry.tracer import read_jsonl, write_jsonl
+from repro.obs.events import SCHEMA_VERSION
+from repro.obs.tracer import read_jsonl, write_jsonl
 from repro.util.atomic_write import atomic_write_bytes, atomic_write_text
 
 if TYPE_CHECKING:  # annotation-only; keeps repro.obs a leaf package

@@ -24,7 +24,6 @@ from repro.errors import (
     ProfilerFault,
     ReproError,
     SanitizerViolation,
-    SimulationInvariantError,
 )
 from repro.resilience.faults import (
     ANY_CORE,
@@ -61,7 +60,6 @@ __all__ = [
     "ReproError",
     "ReproSanitizer",
     "SanitizerViolation",
-    "SimulationInvariantError",
     "SweepCheckpoint",
     "load_checkpoint",
     "save_checkpoint",

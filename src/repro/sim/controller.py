@@ -25,6 +25,7 @@ from collections.abc import Sequence
 
 from repro.cache.nuca import NucaL2
 from repro.cache.partition_map import PartitionMap, equal_partition_map
+from repro.obs.tracer import Tracer
 from repro.partitioning.bank_aware import BankAwareDecision
 from repro.partitioning.registry import PolicyContext, get_policy
 from repro.profiling.miss_curve import MissCurve
@@ -33,7 +34,6 @@ from repro.resilience.faults import FaultInjector
 from repro.resilience.guard import DecisionGuard, DegradedMode
 from repro.resilience.sanitizer import ReproSanitizer
 from repro.sim.stats import EpochRecord
-from repro.telemetry.tracer import Tracer
 
 
 class EpochController:

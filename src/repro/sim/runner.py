@@ -23,12 +23,11 @@ from repro.config import SystemConfig, scaled_config
 from repro.errors import CheckpointCorrupt, ConfigError
 from repro.fabric.supervisor import Supervisor
 from repro.mem.trace import Trace
+from repro.obs.tracer import Tracer
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.faults import FaultPlan
 from repro.sim.stats import SystemResult
 from repro.sim.system import DETAILED_SCHEMES, CMPSystem
-from repro.telemetry.timing import wall_clock
-from repro.telemetry.tracer import Tracer
 from repro.util.stats import relative
 from repro.workloads.mixes import Mix
 from repro.workloads.synthetic import WorkloadSpec, generate_trace
@@ -77,9 +76,9 @@ class RunSettings:
     #: :class:`~repro.errors.SanitizerViolation` and are never
     #: contained by the guard.
     sanitize: bool = False
-    #: collect telemetry events/metrics during the run (see
-    #: :mod:`repro.telemetry`).  Off by default — untraced runs construct
-    #: no telemetry objects and stay bit-identical to the seed behaviour.
+    #: record trace events during the run (see :mod:`repro.obs`).  Off by
+    #: default — untraced runs construct no tracer and stay bit-identical
+    #: to the seed behaviour.
     trace: bool = False
     #: execution backend: 'reference' (checked object-model event loop) or
     #: 'batched' (struct-of-arrays engine, bit-identical; see
@@ -274,9 +273,7 @@ def compare_schemes(
         ),
     ):
         if tracer is not None:
-            # worker-side tracers validated every event on emit, so the
-            # merge takes the pre-validated fast path
-            tracer.extend(res.events, scheme=scheme, pre_validated=True)
+            tracer.extend(res.events, scheme=scheme)
         results[scheme] = res
     return SchemeComparison(mix, results)
 
@@ -368,8 +365,6 @@ def run_sweep(
     )
     try:
         gathered: dict[str, SystemResult] = {}
-        heartbeat = max(1, len(todo) // 100)
-        start = wall_clock() if tracer is not None else 0.0
         for (mix, scheme), res in zip(
             items,
             supervisor.map_ordered(
@@ -378,23 +373,13 @@ def run_sweep(
             ),
         ):
             if tracer is not None:
-                tracer.extend(
-                    res.events, scheme=f"{mix}:{scheme}", pre_validated=True
-                )
+                tracer.extend(res.events, scheme=f"{mix}:{scheme}")
             gathered[scheme] = res
             if len(gathered) == len(schemes):
                 comp = SchemeComparison(mix, gathered)
                 gathered = {}
                 out.append(comp)
                 ckpt.record({s: r.to_dict() for s, r in comp.results.items()})
-                done = len(out)
-                if tracer is not None and (
-                    done % heartbeat == 0 or done == len(mixes)
-                ):
-                    tracer.emit(
-                        "progress", done=done, total=len(mixes),
-                        source="sweep", wall_s=wall_clock() - start,
-                    )
     finally:
         ckpt.save()
     return out

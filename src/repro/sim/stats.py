@@ -53,10 +53,8 @@ class SystemResult:
     epochs: list[EpochRecord] = field(default_factory=list)
     #: decision-guard log of one run: (time, kind, detail, mode) tuples.
     guard_events: list[tuple[float, str, str, str]] = field(default_factory=list)
-    #: telemetry event stream of one traced run (empty when tracing is off).
+    #: trace event stream of one traced run (empty when tracing is off).
     events: list[dict] = field(default_factory=list)
-    #: metrics-registry snapshot of one traced run (None when tracing is off).
-    telemetry: dict | None = None
 
     def to_dict(self) -> dict:
         """JSON-serialisable form (for sweep checkpoints)."""
@@ -77,16 +75,18 @@ class SystemResult:
             ],
             "guard_events": [list(e) for e in self.guard_events],
         }
-        # keep untraced checkpoints byte-identical to the pre-telemetry format
+        # keep untraced checkpoints byte-identical to the pre-tracing format
         if self.events:
             payload["events"] = self.events
-        if self.telemetry is not None:
-            payload["telemetry"] = self.telemetry
         return payload
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemResult":
-        """Inverse of :meth:`to_dict` (bit-exact round trip via JSON)."""
+        """Inverse of :meth:`to_dict` (bit-exact round trip via JSON).
+
+        A ``telemetry`` key, the metrics snapshot that traced payloads
+        of earlier versions carried, is ignored, so their checkpoints
+        still resume."""
         return cls(
             scheme=data["scheme"],
             cores=[CoreResult(*row) for row in data["cores"]],
@@ -103,7 +103,6 @@ class SystemResult:
             ],
             guard_events=[tuple(e) for e in data.get("guard_events", [])],
             events=list(data.get("events", [])),
-            telemetry=data.get("telemetry"),
         )
 
     @property

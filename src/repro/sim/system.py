@@ -33,6 +33,7 @@ from repro.cpu.core import CoreSnapshot, CoreTimer
 from repro.mem.trace import Trace
 from repro.noc.contention import ContentionModel
 from repro.noc.latency import LatencyModel
+from repro.obs.tracer import Tracer
 from repro.partitioning.bank_bw import WINDOWS_PER_EPOCH, BankBudgetRegulator
 from repro.partitioning.registry import get_policy, registered_policies
 from repro.profiling.msa import MSAProfiler
@@ -42,8 +43,6 @@ from repro.resilience.guard import DecisionGuard
 from repro.resilience.sanitizer import ReproSanitizer
 from repro.sim.controller import EpochController
 from repro.sim.stats import CoreResult, SystemResult
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.tracer import Tracer
 from repro.util.bits import LINE_SHIFT
 from repro.workloads.synthetic import WorkloadSpec
 
@@ -122,12 +121,9 @@ class CMPSystem:
             if (sanitize or config.resilience.sanitize)
             else None
         )
-        # Telemetry is opt-in by construction: untraced runs never allocate
-        # a tracer or registry and every emission site checks for None.
+        # Tracing is opt-in by construction: untraced runs never allocate
+        # a tracer and every emission site checks for None.
         self.tracer: Tracer | None = Tracer() if trace else None
-        self.metrics: MetricsRegistry | None = (
-            MetricsRegistry() if trace else None
-        )
         if self.tracer is not None:
             self.tracer.emit_run_meta(
                 "detailed-sim",
@@ -385,18 +381,4 @@ class CMPSystem:
                 ]
         if self.tracer is not None:
             out.events = list(self.tracer.events)
-        if self.metrics is not None:
-            # a fresh local registry per call keeps results() idempotent
-            # (counters only add) without mutating self.metrics
-            registry = MetricsRegistry()
-            self.l2.publish_metrics(registry)
-            served = registry.histogram("noc.port_served")
-            delay = registry.histogram("noc.port_queue_delay")
-            for port in self.contention.ports:
-                served.observe(port.served)
-                delay.observe(port.total_queue_delay)
-            registry.counter("mem.accesses").inc(
-                self.contention.memory_port.served
-            )
-            out.telemetry = registry.snapshot()
         return out

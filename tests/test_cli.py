@@ -94,7 +94,6 @@ class TestArgumentValidation:
         ["montecarlo", "--mixes", "0"],
         ["simulate", "--set", "1", "--duration", "nan"],
         ["simulate", "--set", "1", "--duration", "inf"],
-        ["watch", "trace.jsonl", "--interval", "nan"],
         ["diff", "a.jsonl", "b.jsonl", "--rel-tol", "-1"],
         ["profile", "bzip2", "--scale", "32", "--accesses", "2000",
          "--ways", "8,x"],

@@ -18,8 +18,8 @@ from repro.config import scaled_config
 from repro.errors import PoisonItemError
 from repro.fabric import Supervisor
 from repro.resilience.checkpoint import backup_path, load_checkpoint
-from repro.telemetry.events import canonical_events
-from repro.telemetry.tracer import Tracer
+from repro.obs.events import canonical_events
+from repro.obs.tracer import Tracer
 from repro.workloads import random_mixes
 
 CFG = scaled_config(32, epoch_cycles=150_000)

@@ -286,21 +286,21 @@ class TestConfig:
     def test_det002_allow_carves_out_harness(self):
         cfg = config_from_mapping(
             {"rules": {
-                "det002-paths": ["repro/telemetry/"],
-                "det002-allow": ["repro/telemetry/timing.py"],
+                "det002-paths": ["repro/obs/"],
+                "det002-allow": ["repro/obs/timing.py"],
             }}
         )
         src = "import time\nnow = time.time()\n"
         assert "DET002" in rules_of(
-            lint(src, path="src/repro/telemetry/tracer.py", config=cfg)
+            lint(src, path="src/repro/obs/tracer.py", config=cfg)
         )
         assert "DET002" not in rules_of(
-            lint(src, path="src/repro/telemetry/timing.py", config=cfg)
+            lint(src, path="src/repro/obs/timing.py", config=cfg)
         )
 
     def test_repo_config_scopes_bench_harness(self):
         cfg = load_config()
-        assert "repro/telemetry/timing.py" in cfg.det002_allow
+        assert "repro/obs/timing.py" in cfg.det002_allow
 
 
 # ------------------------------------------------------------- reporters

@@ -1,30 +1,26 @@
-"""The run observatory: store, diff, watch, analytics, and their CLI surface.
+"""The read side of ``repro.obs``: store, diff, series, analytics, and
+their CLI surface.
 
 The load-bearing contracts: a stored run's manifest binds results to
 their provenance; ``repro diff`` finds the *first* canonical divergence
 and exits non-zero on any (making it the serial-vs-parallel determinism
-gate); the tail reader survives both a writer mid-append and the final
-atomic replace.
+gate); a damaged trace is a typed error, never a traceback; and the
+emitting side a simulation imports loads none of this.
 """
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.config import scaled_config
-from repro.obs import (
-    ObsError,
-    RunStore,
-    TailReader,
-    WatchView,
-    config_fingerprint,
-    diff_traces,
-    render_diff_text,
-    watch_trace,
-)
-from repro.telemetry import Tracer, read_jsonl, write_jsonl
+from repro.obs import ObsError, Tracer, read_jsonl, write_jsonl
+from repro.obs.diff import diff_traces, render_diff_text
+from repro.obs.store import RunStore, config_fingerprint
 
 CFG = scaled_config(32, epoch_cycles=150_000)
 
@@ -192,165 +188,6 @@ class TestDiff:
                 diff_traces(a, b, **bad)
 
 
-# ---------------------------------------------------------------------------
-# tail reader / watch
-# ---------------------------------------------------------------------------
-
-
-def _line(event: dict) -> bytes:
-    return json.dumps(event).encode() + b"\n"
-
-
-class TestTailReader:
-    EV = {"type": "epoch_skip", "seq": 0, "time": 1.0, "epoch": 0,
-          "reason": "warmup"}
-
-    def test_partial_trailing_line_waits_for_the_writer(self, tmp_path):
-        path = tmp_path / "grow.jsonl"
-        full = _line(self.EV)
-        path.write_bytes(full + full[:10])  # second event half-written
-        reader = TailReader(path)
-        assert reader.poll().events == [self.EV]
-        # nothing new, partial line still pending
-        assert reader.poll().events == []
-        with open(path, "ab") as fh:
-            fh.write(full[10:])
-        assert reader.poll().events == [self.EV]
-
-    def test_offset_is_resumable(self, tmp_path):
-        path = tmp_path / "grow.jsonl"
-        path.write_bytes(_line(self.EV))
-        reader = TailReader(path)
-        assert len(reader.poll().events) == 1
-        with open(path, "ab") as fh:
-            fh.write(_line(dict(self.EV, seq=1)))
-            fh.write(_line(dict(self.EV, seq=2)))
-        chunk = reader.poll()
-        assert [e["seq"] for e in chunk.events] == [1, 2]
-        assert not chunk.reset
-
-    def test_atomic_replace_resets_the_stream(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_bytes(_line(self.EV) * 3)
-        reader = TailReader(path)
-        assert len(reader.poll().events) == 3
-        # the finalising write_jsonl swaps in a fresh inode
-        final = [dict(self.EV, seq=i) for i in range(2)]
-        write_jsonl(path, final)
-        chunk = reader.poll()
-        assert chunk.reset
-        assert reader.resets == 1
-        assert [e["seq"] for e in chunk.events] == [0, 1]
-
-    def test_missing_file_is_empty_not_an_error(self, tmp_path):
-        reader = TailReader(tmp_path / "nope.jsonl")
-        assert reader.poll().events == []
-
-    def test_damaged_complete_line_raises(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_bytes(b'{"type": broken}\n')
-        with pytest.raises(ObsError, match="damaged trace line"):
-            TailReader(path).poll()
-
-    def test_non_utf8_line_raises(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_bytes(b"\xff\n")
-        with pytest.raises(ObsError, match="damaged trace line"):
-            TailReader(path).poll()
-
-    def test_truncated_mid_event_resets_and_buffers_the_tear(self, tmp_path):
-        # a crash (or torn storage) can leave the trace
-        # cut mid-event: the reader must restart, replay the intact
-        # prefix, and hold the torn tail until the writer completes it
-        path = tmp_path / "torn.jsonl"
-        full = _line(self.EV)
-        path.write_bytes(full * 3)
-        reader = TailReader(path)
-        assert len(reader.poll().events) == 3
-        os.truncate(path, path.stat().st_size // 2)  # tears event 2 mid-byte
-        chunk = reader.poll()
-        assert chunk.reset
-        assert reader.resets == 1
-        assert chunk.events == [self.EV]  # only the intact prefix
-        kept = path.stat().st_size
-        with open(path, "ab") as fh:  # the writer finishes the line
-            fh.write((full * 3)[kept:])
-        assert reader.poll().events == [self.EV, self.EV]
-
-    def test_heartbeats_interleaved_with_supervisor_retries(self, tmp_path):
-        # the stream a retrying sweep of an earlier version wrote: progress
-        # heartbeats with advisory supervisor events woven between them
-        path = tmp_path / "retries.jsonl"
-        sup = {"type": "supervisor", "seq": 0, "kind": "retry", "index": 3,
-               "attempt": 1, "label": "mix-3", "rung": "pool",
-               "detail": "InjectedWorkerCrash: boom"}
-        beat = {"type": "progress", "seq": 0, "done": 1, "total": 4,
-                "source": "montecarlo", "wall_s": 0.5}
-        stream = [
-            dict(beat, seq=0),
-            dict(sup, seq=1),
-            dict(beat, seq=2, done=2, wall_s=1.0),
-            dict(sup, seq=3, kind="timeout", detail="no result"),
-            dict(sup, seq=4, kind="degrade", detail="deadline expired"),
-            dict(beat, seq=5, done=4, wall_s=2.0),
-        ]
-        reader, view = TailReader(path), WatchView()
-        path.write_bytes(b"".join(_line(e) for e in stream[:3]))
-        view.update(reader.poll())
-        assert view.counts == {"progress": 2, "supervisor": 1}
-        assert view.last_progress["done"] == 2
-        assert not view.complete
-        with open(path, "ab") as fh:
-            fh.write(b"".join(_line(e) for e in stream[3:]))
-        view.update(reader.poll())
-        assert view.counts == {"progress": 3, "supervisor": 3}
-        assert view.total_events == 6
-        assert view.complete  # the final heartbeat reached done == total
-
-
-class TestWatch:
-    def test_view_aggregates_progress_and_guards(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        t = Tracer()
-        t.emit_run_meta("montecarlo")
-        t.emit("guard_action", time=1.0, epoch=0, kind="fallback",
-               detail="x", mode="equal-share")
-        t.emit("progress", done=2, total=4, source="montecarlo", wall_s=1.0)
-        t.write_jsonl(path)
-        reader, view = TailReader(path), WatchView()
-        view.update(reader.poll())
-        assert view.total_events == 3
-        assert view.guard_kinds == {"fallback": 1}
-        assert not view.complete
-        rendered = view.render()
-        assert "2/4 (50.0%)" in rendered
-        assert "ETA" in rendered
-        assert "fallback=1" in rendered
-
-    def test_watch_trace_completes_on_final_heartbeat(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        t = Tracer()
-        t.emit("progress", done=4, total=4, source="sweep", wall_s=2.0)
-        t.write_jsonl(path)
-        out = []
-        assert watch_trace(path, once=True, emit=out.append) == 0
-        assert watch_trace(path, interval=0.01, emit=out.append) == 0
-        assert any("complete" in line for line in out)
-
-    def test_watch_trace_times_out_on_a_stalled_run(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        t = Tracer()
-        t.emit("progress", done=1, total=4, source="sweep", wall_s=2.0)
-        t.write_jsonl(path)
-        assert watch_trace(path, interval=0.01, timeout=0.05,
-                           emit=lambda _line: None) == 1
-
-
-# ---------------------------------------------------------------------------
-# CLI integration: store + diff as the determinism gate
-# ---------------------------------------------------------------------------
-
-
 class TestCli:
     MC = ["montecarlo", "--mixes", "4", "--accesses", "3000",
           "--scale", "32", "--epoch", "150000"]
@@ -410,11 +247,17 @@ class TestCli:
         assert code == 1
         assert "FIRST DIVERGENCE" in capsys.readouterr().out
 
-    def test_watch_once(self, traced_runs, capsys):
-        assert cli_main(["watch", str(traced_runs / "serial.jsonl"),
-                         "--once"]) == 0
+    def test_runs_list_filters_by_source(self, traced_runs, capsys):
+        # the store holds one montecarlo run and no compare run
+        store = str(traced_runs / "store")
+        assert cli_main(["runs", "list", "--store", store,
+                         "--source", "compare"]) == 0
         out = capsys.readouterr().out
-        assert "progress: 4/4" in out
+        assert "montecarlo-" not in out
+        assert "no stored runs matched" in out
+        assert cli_main(["runs", "list", "--store", store,
+                         "--source", "compare", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == []
 
     def test_untraced_store_archives_without_trace(self, tmp_path, capsys):
         store = tmp_path / "store"
@@ -456,7 +299,7 @@ def _snapshot_stream():
 
 class TestSeries:
     def test_rows_carry_windowed_deltas(self):
-        from repro.obs import build_series
+        from repro.obs.series import build_series
 
         payload = build_series(_snapshot_stream())
         assert payload["format"] == "repro-timeseries"
@@ -484,12 +327,12 @@ class TestSeries:
         assert cols["epoch_skips"] == [0, 1]
 
     def test_series_ignores_streams_without_snapshots(self):
-        from repro.obs import build_series
+        from repro.obs.series import build_series
 
         assert build_series(_decision_stream())["schemes"] == {}
 
     def test_bytes_are_insertion_order_independent(self):
-        from repro.obs import build_series, series_to_bytes
+        from repro.obs.series import build_series, series_to_bytes
 
         payload = build_series(_snapshot_stream())
         shuffled = {k: payload[k] for k in reversed(list(payload))}
@@ -498,7 +341,7 @@ class TestSeries:
         assert series_to_bytes(payload) == series_to_bytes(payload)
 
     def test_write_load_round_trip_and_damage(self, tmp_path):
-        from repro.obs import build_series, load_series, write_series
+        from repro.obs.series import build_series, load_series, write_series
 
         payload = build_series(_snapshot_stream())
         path = tmp_path / "timeseries.json.gz"
@@ -509,7 +352,7 @@ class TestSeries:
             load_series(path)
 
     def test_validate_series_catches_misalignment(self):
-        from repro.obs import build_series, validate_series
+        from repro.obs.series import build_series, validate_series
 
         payload = json.loads(json.dumps(build_series(_snapshot_stream())))
         assert validate_series(payload) == []
@@ -521,7 +364,7 @@ class TestSeries:
         ]
 
     def test_sidecar_identical_across_backends(self):
-        from repro.obs import build_series, series_to_bytes
+        from repro.obs.series import build_series, series_to_bytes
         from repro.sim.runner import RunSettings, run_mix
         from repro.workloads.mixes import TABLE_III_SETS
 
@@ -536,7 +379,7 @@ class TestSeries:
         assert run("reference") == run("batched")
 
     def test_sidecar_identical_across_jobs(self):
-        from repro.obs import build_series, series_to_bytes
+        from repro.obs.series import build_series, series_to_bytes
         from repro.sim.runner import RunSettings, compare_schemes
         from repro.workloads.mixes import TABLE_III_SETS
 
@@ -554,7 +397,7 @@ class TestSeries:
         assert run(1) == run(2)
 
     def test_store_archives_the_sidecar(self, tmp_path):
-        from repro.obs import load_series
+        from repro.obs.series import load_series
 
         store = RunStore(tmp_path / "runs")
         record = store.archive(
@@ -579,7 +422,7 @@ class TestSeries:
 
 class TestAnalytics:
     def test_exact_quantile_is_nearest_rank(self):
-        from repro.obs import exact_quantile
+        from repro.obs.analytics import exact_quantile
 
         values = [5.0, 1.0, 3.0, 2.0, 4.0]
         assert exact_quantile(values, 0.5) == 3.0
@@ -592,12 +435,12 @@ class TestAnalytics:
             exact_quantile([], 0.5)
 
     def test_series_stats_select_and_goldens(self):
-        from repro.obs import (
-            build_series,
+        from repro.obs.analytics import (
             render_stats_csv,
             render_stats_json,
             series_stats,
         )
+        from repro.obs.series import build_series
 
         payload = build_series(_snapshot_stream())
         rows = series_stats(payload, select="migrations")
@@ -620,7 +463,8 @@ class TestAnalytics:
         assert json.loads(render_stats_json(rows)) == rows
 
     def test_resolve_series_paths_and_store(self, tmp_path):
-        from repro.obs import build_series, resolve_series, write_series
+        from repro.obs.analytics import resolve_series
+        from repro.obs.series import build_series, write_series
 
         store = RunStore(tmp_path / "runs")
         payload = build_series(_snapshot_stream())
@@ -640,9 +484,7 @@ class TestAnalytics:
 
     @staticmethod
     def _record(run_id, **manifest):
-        from pathlib import Path
-
-        from repro.obs import RunRecord
+        from repro.obs.store import RunRecord
 
         base = {
             "created": "2026-08-01T00:00:00Z", "source": "simulate",
@@ -653,7 +495,7 @@ class TestAnalytics:
                          {**base, **manifest})
 
     def test_query_runs_filters(self):
-        from repro.obs import query_runs
+        from repro.obs.analytics import query_runs
 
         records = [
             self._record("r1", source="simulate",
@@ -690,7 +532,7 @@ class TestAnalytics:
         assert ids(since="2026-08", until="2026-08-04") == ["r2"]
 
     def test_runs_query_rows_and_renderer(self):
-        from repro.obs import render_runs_query_text, runs_query_rows
+        from repro.obs.analytics import render_runs_query_text, runs_query_rows
 
         rows = runs_query_rows([
             self._record("r2", headline={"schemes": {
@@ -707,42 +549,6 @@ class TestAnalytics:
         text = render_runs_query_text(rows)
         assert "Stored runs (3 matched)" in text
         assert render_runs_query_text([]) == "no stored runs matched"
-
-
-class TestWatchMetrics:
-    def test_view_tracks_latest_series_row(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        write_jsonl(path, _snapshot_stream())
-        view = WatchView(metrics=True)
-        view.update(TailReader(path).poll())
-        lines = view.render_metrics()
-        assert len(lines) == 1
-        assert "epoch 1" in lines[0]
-        assert "miss=0.125/0.286" in lines[0]
-        assert "peak bank delay=5.00cyc" in lines[0]
-        assert "ways=4/12" in lines[0]
-        assert "migr=4" in lines[0]
-        assert lines[0] in view.render()
-
-    def test_metrics_off_by_default(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        write_jsonl(path, _snapshot_stream())
-        view = WatchView()
-        view.update(TailReader(path).poll())
-        assert view.series_state == {}
-        assert "metrics" not in view.render()
-
-    def test_reset_clears_series_state(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        write_jsonl(path, _snapshot_stream())
-        reader, view = TailReader(path), WatchView(metrics=True)
-        view.update(reader.poll())
-        assert view.series_state
-        write_jsonl(path, _decision_stream())  # atomic replace, no snapshots
-        chunk = reader.poll()
-        assert chunk.reset
-        view.update(chunk)
-        assert all(st["latest"] is None for st in view.series_state.values())
 
 
 class TestCliObsV2:
@@ -787,18 +593,79 @@ class TestCliObsV2:
 
     def test_runs_query_filters_from_cli(self, stored_run, capsys):
         store = str(stored_run / "store")
-        assert cli_main(["runs", "query", "--store", store,
+        assert cli_main(["runs", "list", "--store", store,
                          "--source", "simulate", "--workload", "galgel"]) == 0
         out = capsys.readouterr().out
         assert "Stored runs (1 matched)" in out
-        assert cli_main(["runs", "query", "--store", store,
+        assert cli_main(["runs", "list", "--store", store,
                          "--source", "montecarlo"]) == 0
         assert "no stored runs matched" in capsys.readouterr().out
-        assert cli_main(["runs", "query", "--store", store, "--json"]) == 0
+        assert cli_main(["runs", "list", "--store", store, "--json"]) == 0
         assert len(json.loads(capsys.readouterr().out)) == 1
 
-    def test_watch_metrics_from_cli(self, stored_run, capsys):
-        assert cli_main(["watch", str(stored_run / "run.jsonl"),
-                         "--once", "--metrics"]) == 0
-        out = capsys.readouterr().out
-        assert "metrics" in out and "ways=" in out
+
+# ---------------------------------------------------------------------------
+# damaged traces and the import contract
+# ---------------------------------------------------------------------------
+
+#: a trace holding nothing but a bare ``bank_snapshot``
+BARE_SNAPSHOT = [{"type": "bank_snapshot", "seq": 0}]
+
+#: a header and a ``bank_snapshot`` whose per-bank lists disagree: two
+#: banks of hits, one bank of served port-queue requests
+RAGGED_SNAPSHOT = [
+    {"type": "run_meta", "seq": 0, "schema_version": 1,
+     "source": "simulate"},
+    {"type": "bank_snapshot", "seq": 1, "time": 10.0, "epoch": 0,
+     "hits": [5, 6], "misses": [1, 2], "occupancy": [3, 4],
+     "queue_served": [6], "queue_delay": [0.5, 0.5],
+     "migrations": 0, "writebacks": 0},
+]
+
+
+@pytest.mark.parametrize(
+    "events, seq, problem",
+    [
+        (BARE_SNAPSHOT, 0, "missing required field 'time'"),
+        (RAGGED_SNAPSHOT, 1, "fields of unequal length"),
+    ],
+    ids=["bare", "ragged"],
+)
+def test_damaged_trace_is_a_typed_error(events, seq, problem, tmp_path,
+                                        capsys):
+    trace = tmp_path / "bad.jsonl"
+    write_jsonl(trace, events)
+    assert cli_main(["stats", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: trace event seq {seq}: ")
+    assert problem in err
+    assert cli_main(["report", str(trace), "--check"]) == 1
+    assert problem in capsys.readouterr().err
+
+
+def test_emit_side_imports_no_read_side():
+    # a fresh interpreter, since this one has imported the read side; it
+    # runs the bench's import chain against this process's package
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import json, sys\n"
+        "import repro.sim.runner, repro.analysis.montecarlo, "
+        "repro.analysis.experiments\n"
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m.startswith('repro.obs'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=env,
+    ).stdout
+    loaded = set(json.loads(out))
+    assert "repro.obs.tracer" in loaded
+    read_side = {f"repro.obs.{name}" for name in
+                 ("store", "diff", "series", "analytics", "chrome")}
+    assert not loaded & read_side

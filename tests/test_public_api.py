@@ -23,7 +23,6 @@ PACKAGES = [
     "repro.profiling",
     "repro.resilience",
     "repro.sim",
-    "repro.telemetry",
     "repro.util",
     "repro.workloads",
 ]

@@ -246,18 +246,6 @@ class TestResultsIdempotency:
         third = system.results().to_dict()
         assert first == again == third
 
-    def test_results_leave_metrics_registry_alone(self):
-        system = build_system(
-            MIX, "bank-aware", CFG,
-            RunSettings(duration_cycles=150_000.0, seed=3, trace=True),
-        )
-        system.run()
-        registry = system.metrics
-        before = system.metrics.snapshot()
-        system.results()
-        assert system.metrics is registry
-        assert system.metrics.snapshot() == before
-
 
 class TestNucaStatsCounters:
     def test_record_and_views(self):

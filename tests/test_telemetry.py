@@ -1,38 +1,32 @@
-"""The telemetry subsystem: tracer, schema, metrics, report, exporters.
+"""The emitting side of ``repro.obs``: tracer, schema, report, exporters.
 
 Two contracts dominate: tracing off means *nothing* (no events, no
-telemetry objects, bit-identical numeric results), and tracing on means
-the same event stream whether a sweep ran serially or on a pool (up to
-the wall-clock fields the schema marks non-deterministic).
+tracer, bit-identical numeric results), and tracing on means the same
+event stream whether a sweep ran serially or on a pool (up to the
+advisory events, which carry every wall-clock field).
 """
 
 import json
-import math
 
 import pytest
 
 from repro.analysis.montecarlo import collect_profiles, run_monte_carlo
 from repro.config import scaled_config
-from repro.obs import epoch_digest, render_digest_text
-from repro.sim.runner import RunSettings, compare_schemes, run_mix
-from repro.sim.stats import SystemResult
-from repro.telemetry import metrics
-from repro.telemetry.metrics import Histogram
-from repro.telemetry.events import ADVISORY_EVENTS
-from repro.telemetry import (
-    EVENT_SCHEMAS,
+from repro.obs import (
+    ADVISORY_EVENTS,
     SCHEMA_VERSION,
-    MetricsRegistry,
-    TelemetryError,
+    ObsError,
     Tracer,
     canonical_events,
     check_trace,
-    chrome_trace,
     read_jsonl,
-    schema_rows,
     validate_event,
     write_jsonl,
 )
+from repro.obs.analytics import epoch_digest, render_digest_text
+from repro.obs.chrome import chrome_trace
+from repro.sim.runner import RunSettings, compare_schemes, run_mix
+from repro.sim.stats import SystemResult
 from repro.workloads.mixes import TABLE_III_SETS
 
 CFG = scaled_config(32, epoch_cycles=150_000)  # tiny 64-set banks for speed
@@ -65,13 +59,13 @@ class TestTracer:
 
     def test_emit_validates_against_the_schema(self):
         t = Tracer()
-        with pytest.raises(TelemetryError, match="unknown event type"):
+        with pytest.raises(ObsError, match="unknown event type"):
             t.emit("no_such_event")
-        with pytest.raises(TelemetryError, match="missing required field"):
+        with pytest.raises(ObsError, match="missing required field"):
             t.emit("epoch_skip", time=1.0, epoch=0)  # no reason
-        with pytest.raises(TelemetryError, match="expected"):
+        with pytest.raises(ObsError, match="expected"):
             t.emit("epoch_skip", time=1.0, epoch=0, reason=42)
-        with pytest.raises(TelemetryError, match="unknown fields"):
+        with pytest.raises(ObsError, match="unknown fields"):
             t.emit("epoch_skip", time=1.0, epoch=0, reason="x", extra=1)
         assert t.events == []  # nothing half-emitted
 
@@ -109,10 +103,10 @@ class TestTracer:
     def test_read_jsonl_rejects_damage(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"type": "run_meta"\n', encoding="utf-8")
-        with pytest.raises(TelemetryError, match="not valid JSON"):
+        with pytest.raises(ObsError, match="not valid JSON"):
             read_jsonl(bad)
         bad.write_text("[1, 2]\n", encoding="utf-8")
-        with pytest.raises(TelemetryError, match="expected a JSON object"):
+        with pytest.raises(ObsError, match="expected a JSON object"):
             read_jsonl(bad)
 
     def test_read_jsonl_non_utf8_is_telemetry_error(self, tmp_path):
@@ -122,7 +116,7 @@ class TestTracer:
         t.write_jsonl(bad)
         with open(bad, "ab") as fh:
             fh.write(b"\xff\n")
-        with pytest.raises(TelemetryError, match=r"bad\.jsonl:2: not valid"):
+        with pytest.raises(ObsError, match=r"bad\.jsonl:2: not valid"):
             read_jsonl(bad)
 
     def test_write_jsonl_empty_stream(self, tmp_path):
@@ -133,7 +127,7 @@ class TestTracer:
     def test_write_jsonl_streams_large_traces(self, tmp_path):
         # more events than one write chunk: the stream path must produce
         # the same file as a whole-buffer write would
-        from repro.telemetry.tracer import WRITE_CHUNK_EVENTS
+        from repro.obs.tracer import WRITE_CHUNK_EVENTS
 
         t = Tracer()
         for i in range(WRITE_CHUNK_EVENTS + 7):
@@ -142,63 +136,11 @@ class TestTracer:
         t.write_jsonl(path)
         assert read_jsonl(path) == t.events
 
-    def test_extend_pre_validated_skips_revalidation(self):
-        worker = Tracer()
-        worker.emit("epoch_skip", time=1.0, epoch=0, reason="warmup")
-        checked, trusted = Tracer(), Tracer()
-        checked.extend(worker.events, scheme="s")
-        trusted.extend(worker.events, scheme="s", pre_validated=True)
-        assert trusted.events == checked.events
-        # the fast path trusts the caller: a stream only a validating
-        # tracer could reject passes straight through
-        bogus = [{"type": "epoch_skip", "seq": 0, "time": 1.0, "epoch": 0}]
-        trusted.extend(bogus, pre_validated=True)
-        with pytest.raises(TelemetryError, match="missing required field"):
-            checked.extend(bogus)
-
-    def test_live_sink_appends_during_the_run(self, tmp_path):
-        sink = tmp_path / "live.jsonl"
-        t = Tracer(sink=sink, sink_flush_every=1)
-        t.emit_run_meta("simulate")
-        t.emit("epoch_skip", time=1.0, epoch=0, reason="warmup")
-        # both events already on disk while the run is still going
-        assert read_jsonl(sink) == t.events
-        t.emit("epoch_skip", time=2.0, epoch=1, reason="warmup")
-        assert read_jsonl(sink) == t.events
-        # finalisation atomically replaces the sink with the full stream
-        t.write_jsonl(sink)
-        assert read_jsonl(sink) == t.events
-        assert [p.name for p in tmp_path.iterdir()] == ["live.jsonl"]
-
-
-class TestProgressHeartbeats:
-    def test_montecarlo_emits_progress(self, curves_by_name):
-        tracer = Tracer()
-        run_monte_carlo(6, CFG, curves=curves_by_name, seed=9,
-                        tracer=tracer)
-        beats = tracer.select("progress")
-        assert beats, "no progress heartbeats in the stream"
-        assert all(b["source"] == "montecarlo" for b in beats)
-        assert beats[-1]["done"] == beats[-1]["total"] == 6
-        assert [b["done"] for b in beats] \
-            == sorted({b["done"] for b in beats})
-        assert check_trace(tracer.events) == []
-
-    def test_heartbeats_match_across_jobs(self, curves_by_name):
-        def run(jobs):
-            tracer = Tracer()
-            run_monte_carlo(5, CFG, curves=curves_by_name, seed=9,
-                            jobs=jobs, tracer=tracer)
-            return [
-                e for e in canonical_events(tracer.events)
-                if e["type"] == "progress"
-            ]
-
-        assert run(1) == run(2)
-
 
 class TestEventSchema:
     def test_canonical_events_strips_only_wall_clock(self):
+        # wall clock lives only in advisory events: a stored progress
+        # heartbeat goes whole, the computed event stays as it was
         events = [
             {"type": "progress", "seq": 0, "done": 1, "total": 2,
              "source": "sweep", "wall_s": 0.5},
@@ -206,13 +148,8 @@ class TestEventSchema:
              "reason": "warmup", "scheme": "bank-aware"},
         ]
         canon = canonical_events(events)
-        assert canon[0] == {"type": "progress", "seq": 0, "done": 1,
-                            "total": 2, "source": "sweep"}
-        assert canon[1] == events[1]  # fully deterministic, untouched
-
-    def test_every_schema_is_documented(self):
-        documented = {etype for etype, _, _ in schema_rows()}
-        assert documented == set(EVENT_SCHEMAS)
+        assert canon == [dict(events[1], seq=0)]
+        assert events[1]["seq"] == 1  # the input is not mutated
 
     def test_advisory_supervisor_events_dropped_and_seq_renumbered(self):
         # traces stored by earlier versions carry retries only in the run
@@ -220,28 +157,34 @@ class TestEventSchema:
         # asked for them, so the canonical projection must erase both
         # without leaving a seq gap
         events = [
-            {"type": "progress", "seq": 0, "done": 1, "total": 2,
-             "source": "sweep"},
+            {"type": "epoch_skip", "seq": 0, "time": 1.0, "epoch": 0,
+             "reason": "warmup"},
             {"type": "supervisor", "seq": 1, "kind": "retry", "index": 1,
              "attempt": 1, "rung": "pool", "detail": "boom"},
             dict(STORED_SPAN, seq=2),
-            {"type": "progress", "seq": 3, "done": 2, "total": 2,
-             "source": "sweep"},
+            {"type": "epoch_skip", "seq": 3, "time": 2.0, "epoch": 1,
+             "reason": "warmup"},
         ]
         canon = canonical_events(events)
-        assert [e["type"] for e in canon] == ["progress", "progress"]
+        assert [e["type"] for e in canon] == ["epoch_skip", "epoch_skip"]
         assert [e["seq"] for e in canon] == [0, 1]
         clean = [events[0], dict(events[3], seq=1)]
         assert canon == canonical_events(clean)  # retried == clean
 
     def test_supervisor_event_validates(self):
-        assert ADVISORY_EVENTS == {"supervisor", "span", "sweep_item"}
+        assert ADVISORY_EVENTS == {
+            "supervisor", "span", "sweep_item", "progress"
+        }
         assert validate_event(
             {"type": "supervisor", "seq": 4, "kind": "quarantine",
              "index": 7, "attempt": 3, "label": "mix-7", "rung": "serial",
              "detail": "ValueError: poison"}
         ) == []
         assert validate_event(STORED_SPAN) == []
+        assert validate_event(
+            {"type": "progress", "seq": 2, "done": 1, "total": 4,
+             "source": "montecarlo", "wall_s": 0.5}
+        ) == []
 
     def test_validate_event_accepts_common_fields(self):
         assert validate_event(
@@ -249,141 +192,26 @@ class TestEventSchema:
              "time": 1.0, "epoch": 0, "reason": "warmup"}
         ) == []
 
-
-# ---------------------------------------------------------------------------
-# MetricsRegistry
-# ---------------------------------------------------------------------------
-
-
-class TestMetrics:
-    def test_counter_gauge_histogram(self):
-        reg = MetricsRegistry()
-        reg.counter("l2.hits").inc(10)
-        reg.counter("l2.hits").inc(5)  # get-or-create returns the same one
-        reg.gauge("jobs").set(4)
-        reg.histogram("wall").observe(1.0)
-        reg.histogram("wall").observe(3.0)
-        snap = reg.snapshot()
-        assert snap["counters"] == {"l2.hits": 15.0}
-        assert snap["gauges"] == {"jobs": 4.0}
-        wall = snap["histograms"]["wall"]
-        # exact moments, bucket-estimated percentiles
-        assert wall["count"] == 2
-        assert wall["total"] == 4.0
-        assert wall["min"] == 1.0
-        assert wall["max"] == 3.0
-        assert wall["mean"] == 2.0
-        # p50 lands in 1.0's bucket (within one growth factor above it);
-        # p95/p99 clamp to the exact observed max
-        assert 1.0 <= wall["p50"] <= 1.0 * metrics.BUCKET_GROWTH
-        assert wall["p95"] == 3.0
-        assert wall["p99"] == 3.0
-
-    def test_counters_cannot_decrease(self):
-        with pytest.raises(ValueError, match="cannot decrease"):
-            MetricsRegistry().counter("x").inc(-1)
-
-    def test_empty_histogram_summary_is_finite(self):
-        snap = MetricsRegistry().histogram("w").summary()
-        assert snap == {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0,
-                        "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-        assert Histogram("e").summary()["count"] == 0
-
-    def test_snapshot_is_json_serialisable(self):
-        reg = MetricsRegistry()
-        reg.histogram("w").observe(2.5)
-        assert json.loads(json.dumps(reg.snapshot())) == reg.snapshot()
-
-    def test_bucket_geometry_is_deterministic(self):
-        # boundaries derive from module constants only: same value, same
-        # bucket, on every run and host
-        assert metrics.bucket_index(0.0) == 0
-        assert metrics.bucket_index(metrics.BUCKET_SCALE) == 0
-        assert metrics.bucket_index(1e300) == metrics.MAX_BUCKET
-        for value in (1e-6, 0.003, 1.0, 7.5, 1e4):
-            index = metrics.bucket_index(value)
-            assert metrics.bucket_upper_bound(index) >= value
-            assert (
-                metrics.bucket_upper_bound(index - 1) < value
-                or index == 0
-            )
-
-    def test_quantiles_are_order_independent(self):
-        values = [0.001 * (i % 17 + 1) for i in range(100)]
-        a, b = Histogram("a"), Histogram("b")
-        for v in values:
-            a.observe(v)
-        for v in reversed(values):
-            b.observe(v)
-        assert a.summary() == b.summary()
-
-    def test_quantile_relative_error_is_bounded(self):
-        h = Histogram("w")
-        values = [0.0017 * 1.37 ** i for i in range(40)]
-        for v in values:
-            h.observe(v)
-        exact = sorted(values)
-        for q in (0.5, 0.95, 0.99):
-            # the bucket walk answers with the ceil(q*n)-th smallest value
-            true = exact[max(0, math.ceil(q * len(exact)) - 1)]
-            # one growth factor of slack each way (bucket width ~19 %)
-            assert true / metrics.BUCKET_GROWTH <= h.quantile(q) \
-                <= true * metrics.BUCKET_GROWTH
-
-    def test_identical_observations_collapse_every_quantile(self):
-        h = Histogram("w")
-        for _ in range(10):
-            h.observe(42.0)
-        summary = h.summary()
-        assert summary["p50"] == summary["p95"] == summary["p99"] == 42.0
-
-    def test_quantile_rejects_bad_q(self):
-        h = Histogram("w")
-        h.observe(1.0)
-        with pytest.raises(ValueError, match="quantile"):
-            h.quantile(0.0)
-        with pytest.raises(ValueError, match="quantile"):
-            h.quantile(1.5)
-
-    def test_bucket_index_boundary_values(self):
-        # zero and everything at-or-below the scale floor share bucket 0
-        assert metrics.bucket_index(0.0) == 0
-        assert metrics.bucket_index(5e-324) == 0  # smallest denormal
-        assert metrics.bucket_index(1e-300) == 0
-        assert metrics.bucket_index(metrics.BUCKET_SCALE) == 0
-        # an exact computed edge may round to either adjacent bucket (float
-        # log), but containment must hold and the choice is deterministic
-        for index in (1, 7, 100, metrics.MAX_BUCKET - 1):
-            edge = metrics.bucket_upper_bound(index)
-            got = metrics.bucket_index(edge)
-            assert got in (index, index + 1)
-            assert metrics.bucket_upper_bound(got) >= edge
-            assert metrics.bucket_upper_bound(got - 1) <= edge
-            # nudged past the edge, the value spills into the next bucket
-            assert metrics.bucket_index(edge * 1.0000001) == index + 1
-        # the overflow bucket catches everything beyond the table, inf too
-        assert metrics.bucket_index(1e300) == metrics.MAX_BUCKET
-        assert metrics.bucket_index(float("inf")) == metrics.MAX_BUCKET
-
-    def test_bucket_upper_bounds_grow_geometrically(self):
-        bounds = [
-            metrics.bucket_upper_bound(i) for i in range(metrics.MAX_BUCKET)
+    def test_bank_snapshot_lists_must_align(self):
+        snapshot = {
+            "type": "bank_snapshot", "seq": 0, "time": 1.0, "epoch": 0,
+            "hits": [5, 6], "misses": [1, 2], "occupancy": [3, 4],
+            "queue_served": [6, 7], "queue_delay": [0.5, 0.5],
+            "migrations": 0, "writebacks": 0,
+            "core_hits": [4, 4, 3], "core_misses": [1, 1, 1],
+        }
+        assert validate_event(snapshot) == []
+        # banks and cores are counted apart: only each group must agree
+        ragged_banks = dict(snapshot, queue_served=[6])
+        assert validate_event(ragged_banks) == [
+            "bank_snapshot: fields of unequal length hits=2, misses=2, "
+            "occupancy=2, queue_served=1, queue_delay=2"
         ]
-        assert bounds == sorted(bounds)
-        for lo, hi in zip(bounds, bounds[1:]):
-            assert hi == pytest.approx(lo * metrics.BUCKET_GROWTH)
-
-    def test_quantile_clamps_to_observed_envelope(self):
-        # bucket upper bounds overestimate; the min/max envelope must win
-        h = Histogram("w")
-        h.observe(1.0)
-        h.observe(1.0000001)  # same bucket, distinct min/max
-        assert h.quantile(0.01) >= h.min
-        assert h.quantile(1.0) == h.max
-        single = Histogram("s")
-        single.observe(3.7)
-        for q in (0.001, 0.5, 0.999, 1.0):
-            assert single.quantile(q) == 3.7
+        ragged_cores = dict(snapshot, core_misses=[1, 1])
+        assert validate_event(ragged_cores) == [
+            "bank_snapshot: fields of unequal length core_hits=3, "
+            "core_misses=2"
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +320,6 @@ class TestDetailedRunTracing:
         result = run_mix(TABLE_III_SETS[0], "bank-aware", CFG,
                          RunSettings(**self.SETTINGS))
         assert result.events == []
-        assert result.telemetry is None
         payload = result.to_dict()
         # untraced checkpoints stay byte-identical to the old format
         assert "events" not in payload
@@ -524,14 +351,10 @@ class TestDetailedRunTracing:
         # the end-of-run snapshot uses the epoch=-1 convention
         assert result.events[-1]["type"] == "bank_snapshot"
         assert result.events[-1]["epoch"] == -1
-        tel = result.telemetry
-        # bank counters are whole-run (warmup included), so the registry
-        # total must equal the end-of-run snapshot, not the stats window
-        assert tel["counters"]["l2.misses"] \
-            == float(sum(result.events[-1]["misses"]))
-        assert tel["counters"]["l2.misses"] >= result.total_misses
-        assert tel["histograms"]["l2.bank_hits"]["count"] \
-            == CFG.l2.num_banks
+        # bank counters are whole-run (warmup included), so the
+        # end-of-run snapshot covers at least the stats window
+        assert len(result.events[-1]["misses"]) == CFG.l2.num_banks
+        assert sum(result.events[-1]["misses"]) >= result.total_misses
 
     def test_traced_result_round_trips_through_dict(self):
         result = run_mix(TABLE_III_SETS[0], "bank-aware", CFG,
@@ -540,7 +363,26 @@ class TestDetailedRunTracing:
             json.loads(json.dumps(result.to_dict()))
         )
         assert reread.events == result.events
-        assert reread.telemetry == result.telemetry
+        assert reread.to_dict() == result.to_dict()
+
+    def test_earlier_payload_with_a_telemetry_key_restores(self):
+        # traced checkpoints of earlier versions carry a metrics snapshot
+        # under "telemetry"; it is ignored on restore and not written back
+        payload = {
+            "scheme": "bank-aware",
+            "cores": [[0, "bzip2", 1000, 2500.0, 120, 30]],
+            "migrations": 4,
+            "writebacks": 2,
+            "epochs": [[150000.0, [8], None, None]],
+            "guard_events": [],
+            "events": [{"type": "run_meta", "seq": 0, "schema_version": 1,
+                        "source": "detailed-sim"}],
+            "telemetry": {"counters": {"l2.misses": 30.0}, "gauges": {},
+                          "histograms": {}},
+        }
+        restored = SystemResult.from_dict(json.loads(json.dumps(payload)))
+        expected = {k: v for k, v in payload.items() if k != "telemetry"}
+        assert restored.to_dict() == expected
 
 
 class TestSerialParallelStreamEquality:

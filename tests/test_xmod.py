@@ -2,7 +2,7 @@
 
 Synthetic fixture trees are written under ``tmp_path`` mimicking the
 package layout the rules expect (``repro/cli.py`` entry points,
-``repro/errors.py`` taxonomy, ``repro/telemetry/events.py`` schemas), so
+``repro/errors.py`` taxonomy, ``repro/obs/events.py`` schemas), so
 every cross-module rule can be exercised positive and suppressed-negative
 without touching the real tree.  Each fixture goes through the full
 single pass (:func:`~repro.lint.engine.lint_paths`), per-file rules
@@ -399,8 +399,8 @@ class TestDet003:
 
 TELEMETRY_FIXTURE = {
     "repro/__init__.py": "",
-    "repro/telemetry/__init__.py": "",
-    "repro/telemetry/events.py": (
+    "repro/obs/__init__.py": "",
+    "repro/obs/events.py": (
         "class FieldSpec:\n"
         "    def __init__(self, types, required=True, deterministic=True):\n"
         "        self.types = types\n"
