@@ -24,11 +24,7 @@ from repro.config import (
     default_scale,
     scaled_config,
 )
-from repro.resilience import (
-    DecisionGuard,
-    FaultPlan,
-    ReproError,
-)
+from repro.resilience import DecisionGuard, ReproError
 from repro.workloads import (
     ALL_NAMES,
     TABLE_III_SETS,
@@ -45,7 +41,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ALL_NAMES",
     "DecisionGuard",
-    "FaultPlan",
     "Mix",
     "ReproError",
     "ResilienceConfig",

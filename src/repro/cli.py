@@ -26,7 +26,6 @@ Examples::
     python -m repro partition crafty gap mcf art equake equake bzip2 equake
     python -m repro compare --set 2 --duration 4000000 --jobs 3
     python -m repro compare --set 2 --scheme bank-bw --scheme joint
-    python -m repro compare --set 2 --inject-faults '0:zero@1,3:corrupt@2'
     python -m repro simulate --set 1 --sanitize --trace trace.jsonl --store
     python -m repro montecarlo --mixes 1000 --jobs 4 --checkpoint mc.json
     python -m repro montecarlo --mixes 200 --rank-policies
@@ -92,13 +91,8 @@ from repro.partitioning import (
     registered_policies,
     unrestricted_partition,
 )
-from repro.profiling import MissCurve, load_curves, save_curves
-from repro.resilience import (
-    DecisionGuard,
-    FaultPlan,
-    ProfilerFault,
-    ReproError,
-)
+from repro.profiling import load_curves, save_curves
+from repro.resilience import ReproError
 from repro.sim import (
     DETAILED_SCHEMES,
     SIM_BACKENDS,
@@ -167,25 +161,6 @@ def _add_machine_args(p: argparse.ArgumentParser) -> None:
         "--epoch", type=_positive_int, default=2_000_000,
         help="repartitioning epoch in cycles",
     )
-
-
-def _add_fault_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--inject-faults", metavar="SPEC",
-        help="seeded profiler fault plan, e.g. '0:zero@1,3:corrupt@2-5' "
-             "(CORE:KIND[@START[-END]], kinds: zero/freeze/corrupt/"
-             "degenerate/drop-epoch, '*' = any core for drop-epoch)",
-    )
-    p.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="seed of the fault plan's corruption RNG",
-    )
-
-
-def _fault_plan(args: argparse.Namespace) -> FaultPlan | None:
-    if not getattr(args, "inject_faults", None):
-        return None
-    return FaultPlan.parse(args.inject_faults, seed=args.fault_seed)
 
 
 def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
@@ -308,48 +283,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _curve_histogram(curve: MissCurve):
-    """Invert a miss curve back to its MSA histogram (hit bins + miss bin),
-    so the fault injector can corrupt analytic curves the same way it
-    corrupts live profiler reads."""
-    import numpy as np
-
-    hits = -np.diff(curve.misses)
-    return np.concatenate((hits, [curve.misses[-1]]))
-
-
-def _guarded_curves(
-    curves: list[MissCurve], plan: FaultPlan, cfg: SystemConfig
-) -> tuple[list[MissCurve] | None, DecisionGuard]:
-    """Run the analytic curves through the fault injector + decision guard.
-
-    Returns ``(checked_curves, guard)``; the curves are ``None`` when any
-    profiler was flagged unhealthy (the caller falls back to equal shares,
-    exactly as the epoch controller's ladder would).
-    """
-    injector = plan.injector()
-    guard = DecisionGuard(
-        cfg.num_cores,
-        num_banks=cfg.l2.num_banks,
-        bank_ways=cfg.l2.bank_ways,
-        max_ways_per_core=cfg.max_ways_per_core,
-        min_ways=cfg.resilience.min_ways,
-        hysteresis=cfg.resilience.hysteresis_epochs,
-        degrade_after=cfg.resilience.degrade_after,
-    )
-    checked: list[MissCurve] = []
-    for core, curve in enumerate(curves):
-        hist = injector.filter_histogram(core, _curve_histogram(curve), 0)
-        try:
-            checked.append(
-                guard.checked_curve(curve.name, core, hist, min_observations=1.0)
-            )
-        except ProfilerFault as fault:
-            guard.note_failure(0.0, fault)
-            return None, guard
-    return checked, guard
-
-
 def cmd_partition(args: argparse.Namespace) -> int:
     cfg = _machine(args)
     mix = _resolve_mix(args, cfg.num_cores)
@@ -362,22 +295,6 @@ def cmd_partition(args: argparse.Namespace) -> int:
         curves_by_name = collect_profiles(tuple(set(mix.names)), cfg,
                                           accesses=args.accesses, seed=args.seed)
     curves = [curves_by_name[n] for n in mix.names]
-    plan = _fault_plan(args)
-    if plan is not None:
-        checked, guard = _guarded_curves(curves, plan, cfg)
-        if checked is None:
-            events = [(e.time, e.kind, e.detail, e.mode) for e in guard.events]
-            _print_guard_events(events)
-            per_core = cfg.l2.total_ways // cfg.num_cores
-            rows = [(f"core{i}", name, per_core)
-                    for i, name in enumerate(mix.names)]
-            print()
-            print(format_table(
-                ["core", "workload", "ways"], rows,
-                title="Fallback: equal shares (profiler flagged unhealthy)",
-            ))
-            return 0
-        curves = checked
     decision = bank_aware_partition(
         curves,
         num_banks=cfg.l2.num_banks,
@@ -408,7 +325,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _machine(args)
     mix = _resolve_mix(args, cfg.num_cores)
     settings = RunSettings(duration_cycles=args.duration, seed=args.seed,
-                           fault_plan=_fault_plan(args),
                            sanitize=args.sanitize,
                            trace=bool(args.trace),
                            sim_backend=args.sim_backend)
@@ -449,7 +365,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _machine(args)
     mix = _resolve_mix(args, cfg.num_cores)
     settings = RunSettings(duration_cycles=args.duration, seed=args.seed,
-                           fault_plan=_fault_plan(args),
                            sanitize=args.sanitize,
                            trace=bool(args.trace),
                            sim_backend=args.sim_backend)
@@ -679,7 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curves", help="load cached curves (.npz from 'profile --save')")
     p.add_argument("--unrestricted", action="store_true",
                    help="also show the Unrestricted (UCP) assignment")
-    _add_fault_args(p)
     _add_machine_args(p)
     p.set_defaults(fn=cmd_partition)
 
@@ -716,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "loop) or 'batched' (struct-of-arrays engine, bit-identical "
                  "and several times faster)",
         )
-        _add_fault_args(p)
         _add_sanitize_arg(p)
         _add_trace_arg(p)
         _add_store_arg(p)
@@ -860,8 +773,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.fn(args)
     except ReproError as error:
-        # contained, expected failures (corrupt checkpoints, bad fault
-        # specs, ...) exit cleanly instead of dumping a traceback
+        # contained, expected failures (corrupt checkpoints, damaged
+        # traces, ...) exit cleanly instead of dumping a traceback
         print(f"error: {error}", file=sys.stderr)
         return 2
     except OSError as error:

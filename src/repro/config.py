@@ -148,22 +148,8 @@ class ProfilerConfig:
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Decision-guard and checkpointing knobs (see :mod:`repro.resilience`).
+    """Checkpointing and sanitizer knobs (see :mod:`repro.resilience`)."""
 
-    The guard validates every epoch decision against hard invariants and
-    falls back to the last-known-good partition on violations; sustained
-    failures descend the degraded-mode ladder (bank-aware → equal-share →
-    frozen) after ``degrade_after`` consecutive bad epochs, and recovery
-    climbs one rung per ``hysteresis_epochs`` consecutive healthy epochs.
-    """
-
-    guard_enabled: bool = True
-    #: consecutive healthy epochs required to climb one ladder rung back up.
-    hysteresis_epochs: int = 2
-    #: consecutive failed epochs per ladder rung descended.
-    degrade_after: int = 3
-    #: smallest share the guard allows any core (paper floor: one way).
-    min_ways: int = 1
     #: completed sweep items between checkpoint snapshots.
     checkpoint_every: int = 25
     #: deep runtime invariant checking (LRU-stack uniqueness, way
@@ -173,12 +159,6 @@ class ResilienceConfig:
     sanitize: bool = False
 
     def validate(self) -> None:
-        if self.hysteresis_epochs < 1:
-            raise ConfigError("hysteresis must be at least one epoch")
-        if self.degrade_after < 1:
-            raise ConfigError("degrade_after must be at least one failure")
-        if self.min_ways < 1:
-            raise ConfigError("every core must keep at least one way")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint interval must be at least one item")
 

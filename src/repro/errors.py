@@ -40,9 +40,10 @@ class ConfigError(ReproError, ValueError):
 class ProfilerFault(ReproError):
     """A profiler's output is unusable for a partitioning decision.
 
-    Raised when an MSA histogram has too few observations, contains negative
-    or non-finite counters, or projects a non-monotone miss curve — whether
-    the cause is an injected fault or a real profiler pathology.
+    Raised when an MSA histogram has too few observations (the epoch
+    controller's per-core floor, which sparse but healthy profilers trip
+    in fault-free runs), contains negative or non-finite counters, or
+    projects a degenerate miss curve.
     """
 
     def __init__(self, message: str, *, core: int | None = None) -> None:

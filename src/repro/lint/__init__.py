@@ -4,7 +4,8 @@ A self-contained, stdlib-``ast`` engine that machine-checks the invariants
 the paper states but Python cannot enforce.  One pass parses each file once
 and runs eleven rules: six per-file ones — seeded randomness only (DET001),
 no wall clock in the simulator (DET002), no float equality (FP001),
-guarded partition construction (INV001), API hygiene (API001), no silently
+partition maps built only by the partitioning layer, whose ``decide``
+checks every verdict (INV001), API hygiene (API001), no silently
 swallowed broad exceptions (RES002) — and five whole-program ones over
 the same parsed tree (PAR001, PAR002, DET003, TEL001, ERR001; see
 :mod:`repro.lint.xmod`).

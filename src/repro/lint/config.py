@@ -13,8 +13,7 @@ this repository's layout:
     det001-allow = ["repro/util/rng.py"]     # raw RNG (DET001 and DET003)
     det002-paths = ["repro/sim/", "repro/cache/", "repro/partitioning/"]
     det002-allow = ["repro/obs/timing.py"]  # clock chokepoints
-    inv001-allow = ["repro/partitioning/", "repro/resilience/guard.py",
-                    "repro/cache/partition_map.py"]
+    inv001-allow = ["repro/partitioning/", "repro/cache/partition_map.py"]
     api001-annotation-paths = ["src/"]
     res002-paths = ["repro/"]
 
@@ -75,7 +74,6 @@ class LintConfig:
     #: files allowed to construct PartitionMap directly (INV001).
     inv001_allow: tuple[str, ...] = (
         "repro/partitioning/",
-        "repro/resilience/guard.py",
         "repro/cache/partition_map.py",
     )
     #: paths whose public functions must be fully annotated (API001).

@@ -16,10 +16,10 @@ rules register from :mod:`repro.lint.xmod.rules`.
   floats; ``==``/``!=`` against float expressions is order-of-evaluation
   dependent.  Compare with a tolerance (``math.isclose``/``pytest.approx``)
   or compare the underlying integer counters.
-* **INV001 — partition decisions go through the guard.**  Direct
-  ``PartitionMap`` construction outside the partitioning algorithms and
-  ``resilience/guard.py`` bypasses way conservation, the 9/16 capacity cap
-  and Rules 1–3 validation.
+* **INV001 — partition decisions go through ``decide``.**  Direct
+  ``PartitionMap`` construction outside the partitioning layer bypasses
+  the checks every policy verdict passes inside ``decide``: way
+  conservation, the 9/16 capacity cap and Rules 1–3.
 * **API001 — API hygiene.**  Mutable default arguments, bare ``except:``
   and (inside the library tree) unannotated public functions.
 * **RES002 — no silently swallowed broad exceptions.**  An ``except``
@@ -268,9 +268,9 @@ def _fp001(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
     "INV001",
     "direct PartitionMap construction outside the partitioning layer",
     "error",
-    "partition decisions must flow through the partitioning algorithms and "
-    "DecisionGuard so way conservation, the 9/16 cap and Rules 1-3 are "
-    "validated before installation",
+    "partition decisions must flow through a policy's decide(), which "
+    "checks way conservation, the 9/16 cap and Rules 1-3 before anything "
+    "is installed",
 )
 def _inv001(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
     if ctx.matches(ctx.config.inv001_allow):
@@ -288,9 +288,8 @@ def _inv001(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
             line, col = _loc(node)
             yield (
                 line, col,
-                "construct partitions via bank_aware_partition/"
-                "equal_partition_map (+ DecisionGuard), not PartitionMap() "
-                "directly",
+                "construct partitions via a policy's decide() or "
+                "equal_partition_map, not PartitionMap() directly",
             )
 
 

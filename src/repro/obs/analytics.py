@@ -33,6 +33,7 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 
 from repro.obs.errors import ObsError
+from repro.obs.events import checked_event
 from repro.obs.series import build_series, load_series
 from repro.obs.store import RunRecord, RunStore
 from repro.obs.tracer import read_jsonl
@@ -50,13 +51,15 @@ def epoch_digest(events: Sequence[Mapping]) -> dict:
     Events are grouped by their ``scheme`` tag (untagged events group under
     ``""``); within each scheme the decisions, skips and guard actions are
     keyed by epoch, and bank snapshots report the *delta* of migrations and
-    writebacks since the previous snapshot of that scheme.
+    writebacks since the previous snapshot of that scheme.  Each event is
+    schema-validated first: a damaged one raises :class:`ObsError` naming
+    its ``seq``.
     """
     schemes: dict[str, dict] = {}
     counts: TallyCounter = TallyCounter()
     meta: list[dict] = []
     for event in events:
-        etype = event.get("type", "?")
+        etype = checked_event(event)["type"]
         counts[etype] += 1
         if etype == "run_meta":
             meta.append(

@@ -31,7 +31,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.obs.errors import ObsError
-from repro.obs.events import canonical_events
+from repro.obs.events import canonical_events, checked_event
 
 #: domain annotations attached to diverging fields of an epoch_decision —
 #: the paper's placement rules make these the semantically loaded ones.
@@ -227,14 +227,16 @@ def _event_epoch(event: Mapping) -> int | None:
 
 
 def _collect_metrics(events: Sequence[Mapping]) -> dict[str, float]:
-    """Headline metrics of one canonical stream, keyed for comparison."""
+    """Headline metrics of one stream, keyed for comparison (no advisory
+    event carries one).  Each event is schema-validated first: a damaged
+    one raises :class:`ObsError` naming its ``seq``."""
     metrics: dict[str, float] = {}
     last_snapshot: dict[str, Mapping] = {}
     decisions: dict[str, int] = {}
     guards: dict[str, int] = {}
     mc_ratios: list[float] = []
     for event in events:
-        etype = event.get("type")
+        etype = checked_event(event)["type"]
         scheme = str(event.get("scheme", ""))
         if etype == "bank_snapshot":
             last_snapshot[scheme] = event
@@ -288,6 +290,7 @@ def diff_traces(
             raise ObsError(
                 f"{name} must be finite and non-negative, got {tol!r}"
             )
+    ma, mb = _collect_metrics(a), _collect_metrics(b)
     ca, cb = canonical_events(a), canonical_events(b)
     waived = [0]
     report = DiffReport(a_label, b_label, len(ca), len(cb))
@@ -324,7 +327,6 @@ def diff_traces(
                 detail=f"{shorter} ends after {index} events; {longer} "
                        f"continues with {tail.get('type')!r}",
             )
-    ma, mb = _collect_metrics(ca), _collect_metrics(cb)
     for name in sorted(set(ma) | set(mb)):
         va, vb = ma.get(name, 0.0), mb.get(name, 0.0)
         report.metrics.append(

@@ -20,6 +20,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
+from repro.obs.errors import ObsError
+
 #: bumped on any breaking change to an event schema below.
 SCHEMA_VERSION = 1
 
@@ -229,6 +231,19 @@ def validate_event(event: Mapping) -> list[str]:
     return problems
 
 
+def checked_event(event: Mapping) -> Mapping:
+    """``event`` itself once it validates: every fold of a loaded trace
+    (``stats``, ``report``, ``diff``) reads events through this, so a
+    damaged one raises :class:`ObsError` naming its ``seq`` instead of
+    failing somewhere inside the fold."""
+    problems = validate_event(event)
+    if problems:
+        raise ObsError(
+            f"trace event seq {event.get('seq')}: {'; '.join(problems)}"
+        )
+    return event
+
+
 def validate_events(events: Iterable[Mapping]) -> list[str]:
     """Problems across a whole stream, prefixed with the event index."""
     problems = []
@@ -291,6 +306,7 @@ __all__: Sequence[str] = (
     "SCHEMA_VERSION",
     "canonical_events",
     "check_trace",
+    "checked_event",
     "jsonify_fields",
     "validate_event",
     "validate_events",

@@ -32,7 +32,7 @@ from collections.abc import Iterable, Mapping
 from pathlib import Path
 
 from repro.obs.errors import ObsError
-from repro.obs.events import SCHEMA_VERSION, validate_event
+from repro.obs.events import SCHEMA_VERSION, checked_event
 
 SERIES_FORMAT = "repro-timeseries"
 SERIES_VERSION = 1
@@ -113,11 +113,7 @@ def build_series(events: Iterable[Mapping]) -> dict:
         etype = event.get("type")
         if etype not in FOLDED_EVENTS:
             continue
-        problems = validate_event(event)
-        if problems:
-            raise ObsError(
-                f"trace event seq {event.get('seq')}: {'; '.join(problems)}"
-            )
+        checked_event(event)
         key = event.get("scheme", "")
         st = state.get(key)
         if st is None:

@@ -10,8 +10,8 @@ per run under ``DIR`` (default ``.repro-runs/``):
         manifest.json      # provenance + headline results (see below)
         trace.jsonl        # the telemetry stream, when the run was traced
 
-The manifest binds the *what* (workload mix, settings, headline results,
-metrics snapshot) to the *under which conditions* (config fingerprint, git
+The manifest binds the *what* (workload mix, settings, headline results)
+to the *under which conditions* (config fingerprint, git
 revision, telemetry schema version, creation time), which is what makes
 run pairs comparable months later: ``repro runs list|show`` queries the
 store, ``repro diff`` resolves run ids through it.
@@ -36,8 +36,8 @@ from repro.config import SystemConfig
 from repro.obs.errors import ObsError
 from repro.obs.series import SERIES_NAME, build_series, write_series
 from repro.obs.events import SCHEMA_VERSION
-from repro.obs.tracer import read_jsonl, write_jsonl
-from repro.util.atomic_write import atomic_write_bytes, atomic_write_text
+from repro.obs.tracer import write_jsonl
+from repro.util.atomic_write import atomic_write_text
 
 if TYPE_CHECKING:  # annotation-only; keeps repro.obs a leaf package
     from repro.analysis.montecarlo import MonteCarloResult
@@ -178,15 +178,12 @@ class RunStore:
         workloads: Sequence[str] | None = None,
         settings: Mapping[str, object] | None = None,
         headline: Mapping[str, object] | None = None,
-        metrics: Mapping[str, object] | None = None,
         trace_events: Sequence[Mapping] | None = None,
-        trace_file: str | Path | None = None,
     ) -> RunRecord:
         """Archive one run and return its record.
 
-        ``trace_events`` (an in-memory stream) or ``trace_file`` (an
-        existing JSONL file, copied) attaches the telemetry stream; both
-        ``None`` archives an untraced run with ``trace: null``.
+        ``trace_events`` attaches the run's telemetry stream; ``None``
+        archives an untraced run with ``trace: null``.
         """
         fingerprint = config_fingerprint(config)
         created = time.time()
@@ -195,26 +192,12 @@ class RunStore:
         run_dir.mkdir(parents=True)
         trace_name: str | None = None
         trace_count: int | None = None
+        series_name: str | None = None
+        series_epochs: int | None = None
         if trace_events is not None:
             write_jsonl(run_dir / TRACE_NAME, trace_events)
             trace_name = TRACE_NAME
             trace_count = len(trace_events)
-        elif trace_file is not None:
-            try:
-                data = Path(trace_file).read_bytes()
-            except OSError as exc:
-                raise ObsError(
-                    f"cannot archive trace {trace_file}: {exc}"
-                ) from exc
-            atomic_write_bytes(run_dir / TRACE_NAME, data)
-            trace_name = TRACE_NAME
-            trace_count = sum(
-                1 for line in data.splitlines() if line.strip()
-            )
-            trace_events = read_jsonl(run_dir / TRACE_NAME)
-        series_name: str | None = None
-        series_epochs: int | None = None
-        if trace_events is not None:
             # derived from the canonical projection, so the sidecar is
             # byte-identical across backends and --jobs values
             series = build_series(trace_events)
@@ -239,7 +222,6 @@ class RunStore:
             "workloads": list(workloads) if workloads is not None else None,
             "settings": dict(settings) if settings is not None else {},
             "headline": dict(headline) if headline is not None else {},
-            "metrics": dict(metrics) if metrics is not None else None,
             "trace": trace_name,
             "trace_events": trace_count,
             "timeseries": series_name,

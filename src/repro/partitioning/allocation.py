@@ -39,15 +39,25 @@ def check_center_cover(
         raise PartitionInvariantError("decision does not cover every Center bank")
 
 
-def check_way_vector(ways: Sequence[int], total_ways: int) -> None:
-    """The checks :func:`vector_to_private_map` needs: the vector covers
-    the machine exactly and gives every core at least one way."""
+def check_way_vector(
+    ways: Sequence[int], total_ways: int, max_ways_per_core: int
+) -> None:
+    """The checks every way vector passes: it covers the machine exactly,
+    gives every core at least one way and none more than
+    ``max_ways_per_core`` (for a policy verdict, the paper's 9/16
+    maximum assignable capacity)."""
     if sum(ways) != total_ways:
         raise PartitionInvariantError(
             f"way vector sums to {sum(ways)}, machine has {total_ways}"
         )
     if any(count <= 0 for count in ways):
         raise PartitionInvariantError("every core needs at least one way")
+    for core, count in enumerate(ways):
+        if count > max_ways_per_core:
+            raise PartitionInvariantError(
+                f"core {core} allocated {count} ways, above the "
+                f"{max_ways_per_core}-way capacity cap"
+            )
 
 
 def assign_center_banks(
@@ -136,7 +146,8 @@ def vector_to_private_map(
     bank/way grid, so a core's share may straddle banks in fractions the
     Bank-aware rules would forbid.
     """
-    check_way_vector(ways, num_banks * bank_ways)
+    total_ways = num_banks * bank_ways
+    check_way_vector(ways, total_ways, total_ways)  # the layout needs no cap
     pmap = PartitionMap()
     cursor = 0
     for core, count in enumerate(ways):

@@ -48,7 +48,8 @@ class BankAwareDecision:
     whole Center banks it owns; ``pairs`` the adjacent couples sharing their
     Local banks.  Structural invariants (checked in ``__post_init__``):
     capacity adds up, center-bank cores own exactly ``8 + 8k`` ways, paired
-    cores' ways sum to two Local banks, pairs are adjacent and disjoint.
+    cores' ways sum to two Local banks, pairs name real cores and are
+    adjacent and disjoint.
     """
 
     ways: tuple[int, ...]
@@ -62,6 +63,10 @@ class BankAwareDecision:
             raise PartitionInvariantError("one center-bank count per core required")
         paired: set[int] = set()
         for a, b in self.pairs:
+            if not (0 <= a < n and 0 <= b < n):
+                raise PartitionInvariantError(
+                    f"pair ({a},{b}) names a core outside 0..{n - 1}"
+                )
             if b != a + 1:
                 raise PartitionInvariantError(f"pair ({a},{b}) is not adjacent")
             if a in paired or b in paired:

@@ -67,12 +67,15 @@ class PolicyDecision:
     """One policy verdict: the per-core way vector, how to build its
     physical map (``None`` for capacity-sharing policies), and — when the
     policy honours the Bank-aware rules — the structural decision the
-    guard/sanitizer can deep-check.
+    sanitizer can deep-check against the installed map.
 
     The map is built on the first read of :attr:`pmap` and cached, since
-    the analytic sweep ranks verdicts it never installs.  ``decide`` runs
-    the builders' checks on the vector or decision itself, so a bad
-    verdict still fails where it is made; equality ignores the builder.
+    the analytic sweep ranks verdicts it never installs.  ``decide``
+    checks its verdict once, where it is made: way conservation, at least
+    one way per core and the capacity cap
+    (:func:`~repro.partitioning.allocation.check_way_vector`), plus Rules
+    1-3 for a Bank-aware decision (``BankAwareDecision.__post_init__``).
+    Equality ignores the builder.
     """
 
     ways: tuple[int, ...]
@@ -92,7 +95,7 @@ def private_map_verdict(ways: Sequence[int], ctx: PolicyContext) -> PolicyDecisi
     (:func:`~repro.partitioning.allocation.vector_to_private_map`): the
     vector is checked now, the map built on first read."""
     ways = tuple(ways)
-    check_way_vector(ways, ctx.total_ways)
+    check_way_vector(ways, ctx.total_ways, ctx.max_ways_per_core)
     return PolicyDecision(
         ways=ways,
         build_pmap=partial(
@@ -247,6 +250,7 @@ class BankAwarePolicy(PartitionPolicy):
             min_ways=ctx.min_ways,
         )
         check_center_cover(decision, len(decision.ways), ctx.num_banks)
+        check_way_vector(decision.ways, ctx.total_ways, ctx.max_ways_per_core)
         return PolicyDecision(
             ways=decision.ways,
             bank_decision=decision,
@@ -267,9 +271,8 @@ class UnrestrictedPolicy(PartitionPolicy):
     def decide(
         self, curves: Sequence[MissCurve], ctx: PolicyContext
     ) -> PolicyDecision:
-        # the cap reaches the algorithm here: the historical dispatch
-        # dropped it, so a >cap vector sailed into the guard only to be
-        # rejected and spuriously degrade the run
+        # the cap reaches the algorithm here, so the verdict's own cap
+        # check in private_map_verdict never fires on a sound curve set
         ways = unrestricted_partition(
             curves,
             ctx.total_ways,

@@ -1,10 +1,10 @@
-"""Resilience subsystem: fault injection, guarded decisions, checkpoints.
+"""Resilience subsystem: the decision guard, the sanitizer, checkpoints.
 
 The dynamic partitioning pipeline trusts sampled hardware profilers for
 every epoch decision and runs sweeps long enough that crashes are a
-when-not-if.  This package makes the reproduction *test* that trust
-(:mod:`~repro.resilience.faults`), *contain* its violations
-(:mod:`~repro.resilience.guard`) and *survive* interruptions
+when-not-if.  This package *contains* sparse or damaged profiler reads
+(:mod:`~repro.resilience.guard`), *fails fast* on corrupted simulator
+state (:mod:`~repro.resilience.sanitizer`) and *survives* interruptions
 (:mod:`~repro.resilience.checkpoint`), under the structured error taxonomy
 of :mod:`repro.errors` (re-exported here).
 """
@@ -25,13 +25,6 @@ from repro.errors import (
     ReproError,
     SanitizerViolation,
 )
-from repro.resilience.faults import (
-    ANY_CORE,
-    FAULT_KINDS,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-)
 from repro.resilience.guard import (
     LADDER,
     DecisionGuard,
@@ -41,17 +34,12 @@ from repro.resilience.guard import (
 from repro.resilience.sanitizer import ReproSanitizer
 
 __all__ = [
-    "ANY_CORE",
     "CheckpointCorrupt",
     "CheckpointCorruptError",
     "CheckpointMismatchError",
     "ConfigError",
     "DecisionGuard",
     "DegradedMode",
-    "FAULT_KINDS",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
     "GuardEvent",
     "LADDER",
     "PartitionInvariantError",

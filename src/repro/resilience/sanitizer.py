@@ -13,9 +13,8 @@ and epoch installs with checks far too expensive for production runs:
   bank way exactly once, and the banks' vertical ownership masks agree
   with it way for way;
 * **MSA mass conservation** — each profiler's histogram mass equals its
-  independently-tracked observation ledger, and the histogram the epoch
-  controller is about to *trust* (possibly fault-filtered) carries the
-  same mass the profiler actually recorded;
+  independently-tracked observation ledger, checked before the epoch
+  controller trusts the histogram;
 * **Rules 1–3 post-aggregation** — after a Bank-aware decision is
   materialised onto physical banks, the realised map still honours whole
   Center banks, Local-bank completeness and adjacent-only sharing.
@@ -23,7 +22,7 @@ and epoch installs with checks far too expensive for production runs:
 Every failure raises :class:`~repro.errors.SanitizerViolation`
 (a :class:`~repro.errors.ReproError`) with full context.
 Unlike the :class:`~repro.resilience.guard.DecisionGuard`, the sanitizer
-never contains: a violation is a bug (or an injected fault surfacing), and
+never contains: a violation is a bug (or tampered state surfacing), and
 the run must stop loudly.
 """
 
@@ -226,31 +225,6 @@ class ReproSanitizer:
             raise SanitizerViolation(
                 f"histogram mass {mass:.6g} diverged from the observation "
                 f"ledger {float(ledger):.6g}",
-                check="msa-mass", core=core,
-            )
-
-    def check_trusted_histogram(
-        self,
-        profiler: object,
-        trusted: np.ndarray,
-        *,
-        core: int | None = None,
-    ) -> None:
-        """The histogram a decision is about to trust carries the mass the
-        profiler actually recorded (catches corruption between the two)."""
-        self.checks_run += 1
-        seen = np.asarray(trusted, dtype=np.float64)
-        if not np.all(np.isfinite(seen)):
-            raise SanitizerViolation(
-                "non-finite counters in the trusted histogram",
-                check="msa-mass", core=core,
-            )
-        truth = float(np.asarray(profiler.histogram, dtype=np.float64).sum())
-        if self._masses_differ(float(seen.sum()), truth):
-            raise SanitizerViolation(
-                f"trusted histogram mass {float(seen.sum()):.6g} != profiler "
-                f"mass {truth:.6g} (counters tampered between read and "
-                "decision)",
                 check="msa-mass", core=core,
             )
 

@@ -7,14 +7,13 @@ on the NUCA (replacement-mask enforcement only — resident lines drain
 naturally), and exponentially decays the histograms so the next decision
 tracks phase changes without forgetting instantly.
 
-With a :class:`~repro.resilience.guard.DecisionGuard` attached the
-controller additionally *contains* bad decisions: every histogram it is
-about to trust is health-checked (and optionally filtered through a
-:class:`~repro.resilience.faults.FaultInjector` for failure testing), every
-fresh decision is validated against the hard partitioning invariants, and
-on any violation the last-known-good partition stays installed while the
-guard's degraded-mode ladder (bank-aware → equal-share → frozen) decides
-how aggressively to retreat.
+The controller *contains* bad decisions through its own
+:class:`~repro.resilience.guard.DecisionGuard`: every histogram it is about
+to trust is health-checked against a per-core observation floor, every
+fresh verdict is checked once, inside the policy's ``decide``, and on any
+failure the last-known-good partition stays installed while the guard's
+degraded-mode ladder (bank-aware → equal-share → frozen) decides how
+aggressively to retreat.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.partitioning.bank_aware import BankAwareDecision
 from repro.partitioning.registry import PolicyContext, get_policy
 from repro.profiling.miss_curve import MissCurve
 from repro.errors import ConfigError, PartitionInvariantError, ReproError
-from repro.resilience.faults import FaultInjector
 from repro.resilience.guard import DecisionGuard, DegradedMode
 from repro.resilience.sanitizer import ReproSanitizer
 from repro.sim.stats import EpochRecord
@@ -46,9 +44,6 @@ class EpochController:
     exactly what makes it the idealised comparison point), ``'bank-bw'``
     and ``'joint'`` the related-work policies of the policy lab.
 
-    ``guard`` enables containment (see module docstring); ``fault_injector``
-    corrupts what the controller reads, for resilience testing.  Both are
-    optional and default to the historical unguarded behaviour.
     ``regulator`` is the bank-bandwidth regulator of ``needs_bank_queues``
     policies, handed to each decision through the policy context.
     """
@@ -64,8 +59,6 @@ class EpochController:
         decay: float = 0.5,
         min_observations: int = 1000,
         algorithm: str = "bank-aware",
-        guard: DecisionGuard | None = None,
-        fault_injector: FaultInjector | None = None,
         sanitizer: ReproSanitizer | None = None,
         tracer: Tracer | None = None,
         regulator=None,
@@ -96,12 +89,11 @@ class EpochController:
         self.algorithm = algorithm
         self.policy = policy
         self.regulator = regulator
-        self.guard = guard
-        self.fault_injector = fault_injector
+        self.guard = DecisionGuard()
         self.sanitizer = sanitizer
         self.tracer = tracer
         self.next_epoch = epoch_cycles
-        self.epoch_index = 0  #: boundaries evaluated (fault windows key on it)
+        self.epoch_index = 0  #: boundaries evaluated
         self.history: list[EpochRecord] = []
         self._equal_installed = False
 
@@ -110,20 +102,10 @@ class EpochController:
 
     # -- decision pipeline --------------------------------------------------
 
-    def _read_histograms(self, epoch: int) -> list[np.ndarray]:
-        """The histograms the controller trusts (possibly fault-filtered)."""
-        hists = [p.histogram for p in self.profilers]
-        if self.fault_injector is not None:
-            hists = [
-                self.fault_injector.filter_histogram(core, h, epoch)
-                for core, h in enumerate(hists)
-            ]
-        return hists
-
     def _decide(
         self, now: float, curves: list[MissCurve]
     ) -> tuple[PartitionMap, EpochRecord, BankAwareDecision | None]:
-        """One fresh policy decision, invariant-checked via the guard."""
+        """One fresh policy decision; ``decide`` checks its own verdict."""
         ctx = PolicyContext(
             num_cores=len(self.profilers),
             num_banks=self.l2.config.num_banks,
@@ -139,13 +121,6 @@ class EpochController:
                 "partition map to install"
             )
         decision = verdict.bank_decision
-        if self.guard is not None:
-            if decision is not None:
-                self.guard.validate_decision(
-                    decision.ways, decision.center_banks, decision.pairs
-                )
-            else:
-                self.guard.validate_vector(verdict.ways)
         record = EpochRecord(
             now,
             verdict.ways,
@@ -219,7 +194,7 @@ class EpochController:
 
     def _trace_guard_events(self, epoch: int, start: int) -> None:
         """Mirror guard-ladder events logged since ``start`` into the trace."""
-        if self.tracer is None or self.guard is None:
+        if self.tracer is None:
             return
         for e in self.guard.events[start:]:
             self.tracer.emit("guard_action", time=e.time, epoch=epoch,
@@ -234,19 +209,12 @@ class EpochController:
             self.next_epoch += self.epoch_cycles
         epoch = self.epoch_index
         self.epoch_index += 1
-        if self.fault_injector is not None and self.fault_injector.drops_epoch(
-            epoch
-        ):
-            # the boundary never fired: no decision, no decay
-            self._trace_skip(now, epoch, "fault injector dropped the boundary")
-            return False
-        hists = self._read_histograms(epoch)
+        hists = [p.histogram for p in self.profilers]
         if self.sanitizer is not None:
             # Mass conservation runs OUTSIDE guard containment on purpose:
             # a tampered histogram must stop the run, not degrade it.
-            for core, (prof, hist) in enumerate(zip(self.profilers, hists)):
+            for core, prof in enumerate(self.profilers):
                 self.sanitizer.check_profiler(prof, core=core)
-                self.sanitizer.check_trusted_histogram(prof, hist, core=core)
         total_observed = sum(float(np.abs(h).sum()) for h in hists)
         if total_observed < self.min_observations:
             # not enough profile signal yet; keep current map
@@ -256,30 +224,7 @@ class EpochController:
                 f"({total_observed:.0f} < {self.min_observations})",
             )
             return False
-        if self.guard is None:
-            return self._tick_unguarded(now, epoch, hists)
-        return self._tick_guarded(now, epoch, hists, self.guard)
-
-    def _tick_unguarded(
-        self, now: float, epoch: int, hists: list[np.ndarray]
-    ) -> bool:
-        curves = [
-            MissCurve.from_histogram(name, h)
-            for name, h in zip(self.names, hists)
-        ]
-        pmap, record, decision = self._decide(now, curves)
-        self.l2.apply_partition(pmap)
-        if self.sanitizer is not None:
-            self.sanitizer.check_epoch_install(self.l2, pmap, decision)
-        self.history.append(record)
-        self._trace_decision(now, epoch, curves, record)
-        self._finish_epoch()
-        return True
-
-    def _tick_guarded(
-        self, now: float, epoch: int, hists: list[np.ndarray],
-        guard: DecisionGuard,
-    ) -> bool:
+        guard = self.guard
         per_core_min = self.min_observations / max(len(self.profilers), 1)
         guard_log_start = len(guard.events)
         try:
@@ -324,8 +269,3 @@ class EpochController:
     @property
     def last_decision(self) -> EpochRecord | None:
         return self.history[-1] if self.history else None
-
-    @property
-    def mode(self) -> DegradedMode:
-        """Current ladder rung (NORMAL when running unguarded)."""
-        return self.guard.mode if self.guard is not None else DegradedMode.NORMAL

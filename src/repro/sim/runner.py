@@ -25,7 +25,6 @@ from repro.fabric.supervisor import Supervisor
 from repro.mem.trace import Trace
 from repro.obs.tracer import Tracer
 from repro.resilience.checkpoint import SweepCheckpoint
-from repro.resilience.faults import FaultPlan
 from repro.sim.stats import SystemResult
 from repro.sim.system import DETAILED_SCHEMES, CMPSystem
 from repro.util.stats import relative
@@ -68,9 +67,6 @@ class RunSettings:
     #: epoch-to-epoch histogram decay (higher keeps more history, letting
     #: slow workloads with deep pools accumulate stack-distance evidence).
     profiler_decay: float = 0.75
-    #: optional seeded failure scenario injected into the profiler read
-    #: path of dynamic schemes (see :mod:`repro.resilience.faults`).
-    fault_plan: FaultPlan | None = None
     #: deep runtime invariant checking (expensive; see
     #: :mod:`repro.resilience.sanitizer`).  Violations raise
     #: :class:`~repro.errors.SanitizerViolation` and are never
@@ -172,7 +168,6 @@ def build_system(
         shared_placement=st.shared_placement,
         profiler_kind=st.profiler_kind,
         profiler_decay=st.profiler_decay,
-        fault_plan=st.fault_plan,
         sanitize=st.sanitize,
         trace=st.trace,
         backend=st.sim_backend,
@@ -351,8 +346,6 @@ def run_sweep(
         (f.name, getattr(st, f.name)) for f in fields(st)
         if f.name not in ("sanitize", "trace", "sim_backend")
     )
-    if st.fault_plan is not None:
-        meta["fault_plan"] = repr(st.fault_plan)
     ckpt = SweepCheckpoint(
         checkpoint_path, "detailed-sweep", meta,
         every=cfg.resilience.checkpoint_every, resume=resume,

@@ -38,8 +38,6 @@ from repro.partitioning.bank_bw import WINDOWS_PER_EPOCH, BankBudgetRegulator
 from repro.partitioning.registry import get_policy, registered_policies
 from repro.profiling.msa import MSAProfiler
 from repro.profiling.sampled import SampledMSAProfiler
-from repro.resilience.faults import FaultPlan
-from repro.resilience.guard import DecisionGuard
 from repro.resilience.sanitizer import ReproSanitizer
 from repro.sim.controller import EpochController
 from repro.sim.stats import CoreResult, SystemResult
@@ -75,7 +73,6 @@ class CMPSystem:
         shared_placement: str = "dnuca",
         profiler_kind: str = "sampled",
         profiler_decay: float = 0.5,
-        fault_plan: FaultPlan | None = None,
         sanitize: bool = False,
         trace: bool = False,
         backend: str = "reference",
@@ -151,18 +148,6 @@ class CMPSystem:
         if policy.dynamic:
             if self.profilers is None:
                 raise ConfigError(f"the {scheme} scheme requires profilers")
-            res = config.resilience
-            guard = None
-            if res.guard_enabled:
-                guard = DecisionGuard(
-                    config.num_cores,
-                    num_banks=config.l2.num_banks,
-                    bank_ways=config.l2.bank_ways,
-                    max_ways_per_core=config.max_ways_per_core,
-                    min_ways=res.min_ways,
-                    hysteresis=res.hysteresis_epochs,
-                    degrade_after=res.degrade_after,
-                )
             self.controller = EpochController(
                 self.l2,
                 self.profilers,
@@ -171,10 +156,6 @@ class CMPSystem:
                 max_ways_per_core=config.max_ways_per_core,
                 decay=profiler_decay,
                 algorithm=scheme,
-                guard=guard,
-                fault_injector=(
-                    fault_plan.injector() if fault_plan is not None else None
-                ),
                 sanitizer=self.sanitizer,
                 tracer=self.tracer,
                 regulator=self.regulator,
@@ -374,11 +355,10 @@ class CMPSystem:
             )
         if self.controller is not None:
             out.epochs = list(self.controller.history)
-            if self.controller.guard is not None:
-                out.guard_events = [
-                    (e.time, e.kind, e.detail, e.mode)
-                    for e in self.controller.guard.events
-                ]
+            out.guard_events = [
+                (e.time, e.kind, e.detail, e.mode)
+                for e in self.controller.guard.events
+            ]
         if self.tracer is not None:
             out.events = list(self.tracer.events)
         return out

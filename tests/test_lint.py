@@ -128,13 +128,14 @@ class TestInv001:
         findings = lint(src, path="src/repro/partitioning/allocation.py")
         assert "INV001" not in rules_of(findings)
 
-    def test_allowed_in_guard(self):
+    def test_flagged_in_guard(self):
+        # the guard builds no map: only the partitioning layer may
         src = (
             "from repro.cache.partition_map import PartitionMap\n"
             "pmap = PartitionMap()\n"
         )
         findings = lint(src, path="src/repro/resilience/guard.py")
-        assert "INV001" not in rules_of(findings)
+        assert "INV001" in rules_of(findings)
 
 
 # ---------------------------------------------------------------- API001

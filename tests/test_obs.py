@@ -64,6 +64,7 @@ class TestRunStore:
         assert len(manifest["config_fingerprint"]) == 16
         assert manifest["headline"] == {"miss_rate": 0.25}
         assert manifest["trace_events"] == len(events)
+        assert "metrics" not in manifest
         assert read_jsonl(record.trace_path) == events
 
         listed = store.list()
@@ -108,6 +109,33 @@ class TestRunStore:
         assert [r.run_id for r in store.list()] == [good.run_id]
         with pytest.raises(ObsError, match="unreadable manifest"):
             store.get("broken")
+
+    def test_manifest_with_a_null_metrics_key_lists_and_shows(
+        self, tmp_path, capsys
+    ):
+        """Manifests archived while ``archive`` took ``metrics=`` carry
+        ``"metrics": null``; they still list and show."""
+        store = tmp_path / "runs"
+        run_id = "simulate-20261019-120000-aabbccdd"
+        manifest = {
+            "format": "repro-run-manifest", "version": 1, "run_id": run_id,
+            "created_unix": 1_792_411_200.0, "created": "2026-10-19T12:00:00Z",
+            "source": "simulate", "git_rev": "8267315",
+            "schema_version": 1, "config_fingerprint": "aabbccdd00112233",
+            "workloads": ["bzip2"] * 8, "settings": {"scheme": "bank-aware"},
+            "headline": {"miss_rate": 0.25}, "metrics": None,
+            "trace": None, "trace_events": None,
+            "timeseries": None, "timeseries_epochs": None,
+        }
+        (store / run_id).mkdir(parents=True)
+        (store / run_id / "manifest.json").write_text(
+            json.dumps(manifest), encoding="utf-8"
+        )
+        assert [r.run_id for r in RunStore(store).list()] == [run_id]
+        assert cli_main(["runs", "list", "--store", str(store)]) == 0
+        assert run_id in capsys.readouterr().out
+        assert cli_main(["runs", "show", run_id, "--store", str(store)]) == 0
+        assert json.loads(capsys.readouterr().out) == manifest
 
     def test_resolve_trace_prefers_paths(self, tmp_path):
         trace = tmp_path / "t.jsonl"
@@ -641,6 +669,34 @@ def test_damaged_trace_is_a_typed_error(events, seq, problem, tmp_path,
     assert problem in err
     assert cli_main(["report", str(trace), "--check"]) == 1
     assert problem in capsys.readouterr().err
+
+
+#: a header and a ``bank_snapshot`` whose per-bank ``hits`` is a string
+STRING_HITS = [
+    {"type": "run_meta", "seq": 0, "schema_version": 1,
+     "source": "simulate"},
+    {"type": "bank_snapshot", "seq": 1, "time": 10.0, "epoch": 0,
+     "hits": "xy", "misses": [1, 2], "occupancy": [3, 4],
+     "queue_served": [6, 7], "queue_delay": [0.5, 0.5],
+     "migrations": 0, "writebacks": 0},
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["stats", "T"], ["report", "T"], ["report", "T", "--format", "json"],
+     ["diff", "T", "T"]],
+    ids=["stats", "report", "report-json", "diff"],
+)
+def test_every_trace_fold_rejects_a_damaged_event(argv, tmp_path, capsys):
+    trace = tmp_path / "bad.jsonl"
+    write_jsonl(trace, STRING_HITS)
+    rc = cli_main([str(trace) if arg == "T" else arg for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: trace event seq 1: bank_snapshot.hits: "
+                          "expected list/tuple, got str")
+    assert "Traceback" not in err
 
 
 def test_emit_side_imports_no_read_side():

@@ -5,8 +5,9 @@ Four families of guarantees:
 * registry mechanics — canonical listing order, lookup errors, duplicate
   rejection, capability flags;
 * decision invariants — every registered policy conserves ways, honours
-  the min-way floor, and (when it claims the Bank-aware structure)
-  passes the guard's Rules 1-3 deep check, over randomized curve sets;
+  the min-way floor and the capacity cap, and (when it claims the
+  Bank-aware structure) passes the Rules 1-3 checks, over randomized
+  curve sets;
 * determinism — identical inputs give identical decisions, and the
   related-work building blocks (regulator, joint search) are pure
   functions of their inputs;
@@ -23,6 +24,7 @@ from repro.config import scaled_config
 from repro.errors import ConfigError, PartitionInvariantError
 from repro.partitioning import registry
 from repro.partitioning.allocation import (
+    check_way_vector,
     decision_to_partition_map,
     vector_to_private_map,
 )
@@ -44,7 +46,6 @@ from repro.partitioning.registry import (
     registered_policies,
 )
 from repro.profiling.miss_curve import MissCurve
-from repro.resilience.guard import DecisionGuard
 from repro.sim.runner import RunSettings, run_mix
 from repro.sim.system import ALL_SIM_SCHEMES, DETAILED_SCHEMES
 from repro.workloads import Mix
@@ -127,10 +128,6 @@ class TestDecisionInvariants:
     @settings(max_examples=20, deadline=None)
     @given(curves=curve_sets())
     def test_conserves_ways_and_honours_floors(self, curves):
-        guard = DecisionGuard(
-            CTX.num_cores, num_banks=CTX.num_banks, bank_ways=CTX.bank_ways,
-            max_ways_per_core=CTX.max_ways_per_core, min_ways=CTX.min_ways,
-        )
         for name in registered_policies():
             verdict = get_policy(name).decide(curves, CTX)
             assert sum(verdict.ways) == CTX.total_ways, name
@@ -138,11 +135,14 @@ class TestDecisionInvariants:
             assert all(
                 w <= CTX.max_ways_per_core for w in verdict.ways
             ), name
-            if verdict.bank_decision is not None:
-                d = verdict.bank_decision
-                guard.validate_decision(d.ways, d.center_banks, d.pairs)
-            else:
-                guard.validate_vector(verdict.ways)
+            assert all(isinstance(w, int) for w in verdict.ways), name
+            check_way_vector(
+                verdict.ways, CTX.total_ways, CTX.max_ways_per_core
+            )
+            d = verdict.bank_decision
+            if d is not None:
+                # rebuilding the decision re-runs its Rules 1-3 checks
+                BankAwareDecision(d.ways, d.center_banks, d.pairs, d.bank_ways)
 
     @settings(max_examples=20, deadline=None)
     @given(curves=curve_sets())
@@ -203,6 +203,7 @@ class TestLazyMaps:
             ([8] * 8, "way vector sums to 64, machine has 128"),
             ([0, 32] + [16] * 6, "every core needs at least one way"),
             ([-1, 33] + [16] * 6, "every core needs at least one way"),
+            ([73, 1, 1, 1, 1, 1, 25, 25], "73 ways, above the 72-way"),
         ],
     )
     def test_bad_vector_fails_inside_decide(self, monkeypatch, ways, message):
@@ -217,6 +218,17 @@ class TestLazyMaps:
         monkeypatch.setattr(registry, "bank_aware_partition", lambda *a, **k: short)
         with pytest.raises(PartitionInvariantError, match="cover every Center bank"):
             get_policy("bank-aware").decide([knee_curve(8)] * 8, CTX)
+
+    def test_decision_above_the_cap_fails_inside_decide(self, monkeypatch):
+        hog = BankAwareDecision(
+            ways=(72,) + (8,) * 7, center_banks=(8,) + (0,) * 7, pairs=()
+        )
+        monkeypatch.setattr(registry, "bank_aware_partition", lambda *a, **k: hog)
+        ctx = PolicyContext(
+            num_cores=8, num_banks=16, bank_ways=8, max_ways_per_core=64
+        )
+        with pytest.raises(PartitionInvariantError, match="64-way capacity cap"):
+            get_policy("bank-aware").decide([knee_curve(8)] * 8, ctx)
 
 
 class TestJointSearch:

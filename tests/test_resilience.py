@@ -1,4 +1,5 @@
-"""Resilience subsystem: faults, guard invariants, ladder, checkpoints."""
+"""Resilience subsystem: decision invariants, the guard's health checks
+and ladder, and checkpoints."""
 
 import json
 import os
@@ -10,7 +11,9 @@ import pytest
 from repro.analysis.montecarlo import collect_profiles, run_monte_carlo
 from repro.cache.nuca import NucaL2
 from repro.config import L2Config, ResilienceConfig, scaled_config
-from repro.partitioning.bank_aware import bank_aware_partition
+from repro.partitioning.allocation import check_way_vector
+from repro.partitioning.bank_aware import BankAwareDecision, bank_aware_partition
+from repro.profiling.miss_curve import MissCurve
 from repro.profiling.msa import MSAProfiler
 from repro.resilience import (
     CheckpointCorrupt,
@@ -19,8 +22,6 @@ from repro.resilience import (
     ConfigError,
     DecisionGuard,
     DegradedMode,
-    FaultPlan,
-    FaultSpec,
     PartitionInvariantError,
     ProfilerFault,
     ReproError,
@@ -29,6 +30,7 @@ from repro.resilience import (
     save_checkpoint,
 )
 from repro.resilience.checkpoint import backup_path
+from repro.resilience.guard import DEGRADE_AFTER, HYSTERESIS_EPOCHS
 from repro.sim.controller import EpochController
 from repro.sim.runner import RunSettings, run_mix, run_sweep
 from repro.util.rng import rng_stream
@@ -60,76 +62,7 @@ class TestErrorTaxonomy:
 
 
 # --------------------------------------------------------------------------
-# fault plans
-
-
-class TestFaultPlan:
-    def test_parse_round_trip(self):
-        plan = FaultPlan.parse("0:zero@2,3:corrupt@1-4,*:drop-epoch@5", seed=9)
-        assert plan.faults == (
-            FaultSpec(0, "zero", 2, None),
-            FaultSpec(3, "corrupt", 1, 4),
-            FaultSpec(-1, "drop-epoch", 5, None),
-        )
-        assert FaultPlan.parse(str(plan), seed=9) == plan
-
-    @pytest.mark.parametrize("bad", [
-        "0:typo", "zero", "x:zero", "*:zero", "0:zero@9-3", "0:zero@a",
-    ])
-    def test_parse_rejects_malformed(self, bad):
-        with pytest.raises(ConfigError):
-            FaultPlan.parse(bad)
-
-    def test_windows(self):
-        spec = FaultSpec(0, "zero", 2, 5)
-        assert [spec.active(e) for e in range(7)] == [
-            False, False, True, True, True, False, False,
-        ]
-
-    def test_zero_and_freeze(self):
-        plan = FaultPlan((FaultSpec(0, "zero"), FaultSpec(1, "freeze", 1)))
-        inj = plan.injector()
-        h = np.arange(5, dtype=float)
-        assert not inj.filter_histogram(0, h, 0).any()
-        # epoch 0: freeze not yet active; epoch 1 snapshots; epoch 2 stale
-        assert (inj.filter_histogram(1, h, 0) == h).all()
-        assert (inj.filter_histogram(1, h, 1) == h).all()
-        assert (inj.filter_histogram(1, h * 10, 2) == h).all()
-        # untouched core passes through
-        assert (inj.filter_histogram(2, h, 0) == h).all()
-
-    def test_corruption_is_seed_deterministic(self):
-        h = np.linspace(10, 500, 32)
-        plans = [FaultPlan((FaultSpec(0, "corrupt"),), seed=s) for s in (4, 4, 5)]
-        a, b, c = (
-            p.injector().filter_histogram(0, h, 3) for p in plans
-        )
-        assert (a == b).all()
-        assert not (a == c).all()
-
-    def test_degenerate_breaks_monotonicity(self):
-        h = np.full(16, 100.0)
-        out = FaultPlan((FaultSpec(0, "degenerate"),)).injector(
-        ).filter_histogram(0, h, 0)
-        assert (out < 0).any()
-
-    def test_drop_epoch(self):
-        inj = FaultPlan((FaultSpec(-1, "drop-epoch", 1, 3),)).injector()
-        assert [inj.drops_epoch(e) for e in range(4)] == [
-            False, True, True, False,
-        ]
-        assert any("dropped" in e for e in inj.events)
-
-
-# --------------------------------------------------------------------------
-# guard invariants (property-style over random mixes)
-
-
-def make_guard(**kw):
-    kw.setdefault("num_banks", 16)
-    kw.setdefault("bank_ways", 8)
-    kw.setdefault("max_ways_per_core", 72)
-    return DecisionGuard(8, **kw)
+# decision invariants (property-style over random mixes)
 
 
 @pytest.fixture(scope="module")
@@ -137,19 +70,26 @@ def curves_by_name():
     return collect_profiles(config=CFG, accesses=6_000)
 
 
+def decision(ways, center_banks, pairs):
+    """Rebuild a Bank-aware decision, re-running its Rules 1-3 checks."""
+    return BankAwareDecision(tuple(ways), tuple(center_banks), tuple(pairs))
+
+
 class TestGuardInvariants:
+    """The invariants every verdict passes once, inside ``decide``:
+    Rules 1-3 in ``BankAwareDecision`` and conservation, the one-way floor
+    and the 9/16 cap in ``check_way_vector``."""
+
     def test_accepts_every_bank_aware_decision(self, curves_by_name):
-        guard = make_guard()
         for mix in random_mixes(25, 8, seed=41):
             d = bank_aware_partition(
                 [curves_by_name[n] for n in mix.names],
                 num_banks=16, bank_ways=8, max_ways_per_core=72,
             )
-            guard.validate_decision(d.ways, d.center_banks, d.pairs)
-            guard.validate_vector(d.ways)
+            decision(d.ways, d.center_banks, d.pairs)
+            check_way_vector(d.ways, 128, 72)
 
     def test_rejects_conservation_violations(self, curves_by_name):
-        guard = make_guard()
         rng = rng_stream(7, "perturb")
         for mix in random_mixes(15, 8, seed=42):
             d = bank_aware_partition(
@@ -158,13 +98,12 @@ class TestGuardInvariants:
             )
             ways = list(d.ways)
             ways[int(rng.integers(0, 8))] += int(rng.integers(1, 9))
-            with pytest.raises(PartitionInvariantError):
-                guard.validate_vector(ways)
+            with pytest.raises(PartitionInvariantError, match="sums to"):
+                check_way_vector(ways, 128, 72)
 
     def test_rejects_transfers_outside_a_pair(self, curves_by_name):
         """Moving ways between cores keeps conservation but must break a
         structural rule — unless both cores share one Local-bank pair."""
-        guard = make_guard()
         rng = rng_stream(8, "transfer")
         checked = 0
         for mix in random_mixes(40, 8, seed=43):
@@ -180,95 +119,81 @@ class TestGuardInvariants:
                 continue
             ways[src] -= 1
             ways[dst] += 1
+            check_way_vector(ways, 128, 72)  # the vector alone looks sound
             with pytest.raises(PartitionInvariantError):
-                guard.validate_decision(ways, d.center_banks, d.pairs)
+                decision(ways, d.center_banks, d.pairs)
             checked += 1
         assert checked >= 20  # the property was actually exercised
 
     def test_accepts_intra_pair_transfers(self):
         # pair (0,1) splitting two Local banks 6/10 vs 5/11: both valid
-        base = dict(center_banks=(0, 0, 1, 1, 1, 1, 2, 2), pairs=((0, 1),))
-        guard = make_guard()
+        centers, pairs = (0, 0, 1, 1, 1, 1, 2, 2), ((0, 1),)
         for split in ((6, 10), (5, 11), (1, 15)):
             ways = split + (16, 16, 16, 16, 24, 24)
-            guard.validate_decision(ways, **base)
+            decision(ways, centers, pairs)
+            check_way_vector(ways, 128, 72)
 
     def test_rejects_cap_violation(self):
-        guard = make_guard()
         with pytest.raises(PartitionInvariantError, match="capacity cap"):
-            guard.validate_vector([73, 1, 1, 1, 1, 1, 25, 25])
+            check_way_vector([73, 1, 1, 1, 1, 1, 25, 25], 128, 72)
 
     def test_rejects_starved_core(self):
-        guard = make_guard()
-        with pytest.raises(PartitionInvariantError, match="minimum"):
-            guard.validate_vector([0, 32, 16, 16, 16, 16, 16, 16])
-
-    def test_rejects_fractional_ways(self):
-        guard = make_guard()
-        with pytest.raises(PartitionInvariantError, match="fractional"):
-            guard.validate_vector([16.5, 15.5, 16, 16, 16, 16, 16, 16])
+        with pytest.raises(PartitionInvariantError, match="at least one way"):
+            check_way_vector([0, 32, 16, 16, 16, 16, 16, 16], 128, 72)
 
     def test_rejects_non_adjacent_pair(self):
-        guard = make_guard()
         ways = (6, 16, 10, 16, 16, 16, 24, 24)
         centers = (0, 1, 0, 1, 1, 1, 2, 2)
-        with pytest.raises(PartitionInvariantError, match="Rule 3"):
-            guard.validate_decision(ways, centers, ((0, 2),))
+        with pytest.raises(PartitionInvariantError, match="not adjacent"):
+            decision(ways, centers, ((0, 2),))
+
+    @pytest.mark.parametrize("pair", [(7, 8), (-1, 0)])
+    def test_rejects_pair_outside_the_machine(self, pair):
+        with pytest.raises(PartitionInvariantError, match="outside 0..7"):
+            decision((8,) * 8, (0,) * 8, (pair,))
 
     def test_rejects_center_core_in_pair(self):
-        guard = make_guard()
         ways = (24, 8, 16, 16, 16, 16, 16, 16)
         centers = (1, 0, 1, 1, 1, 1, 1, 2)
-        with pytest.raises(PartitionInvariantError, match="Rule 2"):
-            guard.validate_decision(ways, centers, ((0, 1),))
+        with pytest.raises(PartitionInvariantError, match="may not share"):
+            decision(ways, centers, ((0, 1),))
 
     def test_rejects_wrong_center_way_count(self):
-        guard = make_guard()
         # core 0 claims 1 Center bank but owns 12 ways (not 16)
         ways = (12, 20, 16, 16, 16, 16, 16, 16)
         centers = (1, 1, 1, 1, 1, 1, 1, 1)
-        with pytest.raises(PartitionInvariantError, match="Rule 1/2"):
-            guard.validate_decision(ways, centers, ())
-
-    def test_constructor_validation(self):
-        with pytest.raises(ConfigError):
-            DecisionGuard(0, num_banks=16, bank_ways=8, max_ways_per_core=72)
-        with pytest.raises(ConfigError):
-            make_guard(min_ways=0)
-        with pytest.raises(ConfigError):
-            make_guard(hysteresis=0)
-        with pytest.raises(ConfigError):
-            make_guard(degrade_after=0)
+        with pytest.raises(PartitionInvariantError, match="expected 16"):
+            decision(ways, centers, ())
 
 
 class TestGuardHealthChecks:
     def test_accepts_healthy_histogram(self):
-        guard = make_guard()
+        guard = DecisionGuard()
         curve = guard.checked_curve("w", 0, np.full(9, 50.0),
                                     min_observations=10)
         assert curve.total_accesses == pytest.approx(450.0)
 
     def test_too_few_observations(self):
-        guard = make_guard()
+        guard = DecisionGuard()
         with pytest.raises(ProfilerFault, match="observations"):
             guard.checked_curve("w", 2, np.full(9, 1.0), min_observations=100)
 
     def test_negative_counters(self):
-        guard = make_guard()
+        guard = DecisionGuard()
         h = np.full(9, 50.0)
         h[3] = -10.0
         with pytest.raises(ProfilerFault, match="negative"):
             guard.checked_curve("w", 1, h)
 
     def test_non_finite_counters(self):
-        guard = make_guard()
+        guard = DecisionGuard()
         h = np.full(9, 50.0)
         h[0] = np.nan
         with pytest.raises(ProfilerFault, match="non-finite"):
             guard.checked_curve("w", 1, h)
 
     def test_fault_carries_core(self):
-        guard = make_guard()
+        guard = DecisionGuard()
         with pytest.raises(ProfilerFault) as info:
             guard.checked_curve("w", 5, np.zeros(9), min_observations=1)
         assert info.value.core == 5
@@ -276,20 +201,27 @@ class TestGuardHealthChecks:
 
 class TestGuardLadder:
     def test_descends_and_recovers(self):
-        guard = make_guard(degrade_after=2, hysteresis=2)
+        guard = DecisionGuard()
         err = ProfilerFault("boom")
-        assert guard.note_failure(1.0, err) is DegradedMode.NORMAL
-        assert guard.note_failure(2.0, err) is DegradedMode.EQUAL_SHARE
-        assert guard.note_failure(3.0, err) is DegradedMode.EQUAL_SHARE
-        assert guard.note_failure(4.0, err) is DegradedMode.FROZEN
-        # recovery: one rung per `hysteresis` consecutive healthy epochs
-        assert guard.note_healthy(5.0) is DegradedMode.FROZEN
-        assert guard.note_healthy(6.0) is DegradedMode.EQUAL_SHARE
-        assert guard.note_healthy(7.0) is DegradedMode.EQUAL_SHARE
-        assert guard.note_healthy(8.0) is DegradedMode.NORMAL
+        modes = [guard.note_failure(float(t), err)
+                 for t in range(2 * DEGRADE_AFTER)]
+        # one rung per DEGRADE_AFTER consecutive failures
+        assert modes == (
+            [DegradedMode.NORMAL] * (DEGRADE_AFTER - 1)
+            + [DegradedMode.EQUAL_SHARE] * DEGRADE_AFTER
+            + [DegradedMode.FROZEN]
+        )
+        # recovery: one rung per HYSTERESIS_EPOCHS consecutive healthy epochs
+        modes = [guard.note_healthy(float(t))
+                 for t in range(2 * HYSTERESIS_EPOCHS)]
+        assert modes == (
+            [DegradedMode.FROZEN] * (HYSTERESIS_EPOCHS - 1)
+            + [DegradedMode.EQUAL_SHARE] * HYSTERESIS_EPOCHS
+            + [DegradedMode.NORMAL]
+        )
 
     def test_intermittent_faults_do_not_degrade(self):
-        guard = make_guard(degrade_after=3)
+        guard = DecisionGuard()
         err = ProfilerFault("flaky")
         for t in range(20):
             if t % 2:
@@ -299,19 +231,24 @@ class TestGuardLadder:
             assert mode is DegradedMode.NORMAL
 
     def test_events_logged(self):
-        guard = make_guard(degrade_after=1, hysteresis=1)
-        guard.note_failure(1.0, ProfilerFault("x"))
-        guard.note_healthy(2.0)
+        guard = DecisionGuard()
+        for t in range(DEGRADE_AFTER):
+            guard.note_failure(float(t), ProfilerFault("x"))
+        for t in range(HYSTERESIS_EPOCHS):
+            guard.note_healthy(float(DEGRADE_AFTER + t))
         kinds = [e.kind for e in guard.events]
-        assert kinds == ["fault", "degrade", "recover"]
-        assert guard.fallback_count == 1
+        assert kinds == (
+            ["fault", "fallback"] * (DEGRADE_AFTER - 1)
+            + ["fault", "degrade", "recover"]
+        )
+        assert guard.events[1].detail.startswith("holding initial partition")
 
 
 # --------------------------------------------------------------------------
 # controller integration
 
 
-def make_controller(*, guard=None, injector=None, min_obs=10, **kw):
+def make_controller(*, min_obs=10, **kw):
     l2cfg = L2Config(num_banks=16, bank_ways=8, sets_per_bank=64)
     l2 = NucaL2(l2cfg, 8)
     profilers = [MSAProfiler(l2cfg.sets_per_bank, 72) for _ in range(8)]
@@ -321,17 +258,18 @@ def make_controller(*, guard=None, injector=None, min_obs=10, **kw):
         epoch_cycles=kw.pop("epoch", 1000.0),
         max_ways_per_core=72,
         min_observations=min_obs,
-        guard=guard,
-        fault_injector=injector,
         **kw,
     )
     return ctrl, l2, profilers
 
 
-def feed(profilers, accesses=400):
+def feed(profilers, accesses=400, *, sparse=(), sparse_accesses=40):
+    """One epoch of profiler input; the ``sparse`` cores see only
+    ``sparse_accesses`` accesses."""
     for i, prof in enumerate(profilers):
         trace = generate_trace(
-            get("vpr" if i % 2 else "gzip"), accesses, 64, seed=i
+            get("vpr" if i % 2 else "gzip"),
+            sparse_accesses if i in sparse else accesses, 64, seed=i,
         )
         prof.observe_many(trace.lines)
 
@@ -354,106 +292,127 @@ class TestControllerValidation:
 
 
 class TestGuardedController:
-    def test_fault_free_guarded_run_matches_unguarded(self):
-        results = []
-        for use_guard in (False, True):
-            guard = make_guard() if use_guard else None
-            ctrl, _, profs = make_controller(guard=guard)
-            feed(profs)
-            assert ctrl.tick(1000.0)
-            results.append(ctrl.last_decision.ways)
-        assert results[0] == results[1]
+    """The ladder driven by real profilers: core 0's stays below the
+    per-core observation floor (800 / 8 cores = 100; it sees 40 accesses
+    an epoch, and ``decay=0`` forgets each epoch's counts), which is how
+    fault-free runs reach the ladder."""
 
-    def test_zero_fault_holds_last_known_good(self):
-        plan = FaultPlan((FaultSpec(0, "zero", 1), FaultSpec(1, "zero", 1)))
-        guard = make_guard(degrade_after=3)
-        ctrl, l2, profs = make_controller(guard=guard, injector=plan.injector())
+    @staticmethod
+    def sparse_controller():
+        return make_controller(min_obs=800, decay=0.0)
+
+    def test_healthy_epoch_installs_the_policy_verdict(self):
+        ctrl, l2, profs = self.sparse_controller()
+        feed(profs)
+        curves = [MissCurve.from_histogram(n, p.histogram)
+                  for n, p in zip(ctrl.names, profs)]
+        want = bank_aware_partition(curves, max_ways_per_core=72)
+        assert ctrl.tick(1000.0)
+        assert ctrl.last_decision.ways == want.ways
+        assert ctrl.guard.events == []
+        assert ctrl.guard.last_good is l2.partition_map
+
+    def test_sparse_core_holds_last_known_good(self):
+        ctrl, l2, profs = self.sparse_controller()
         feed(profs)
         assert ctrl.tick(1000.0)  # epoch 0: healthy, decision installed
         good = ctrl.last_decision.ways
         before = l2.partition_map
-        feed(profs)
-        assert not ctrl.tick(2000.0)  # epoch 1: faulted, contained
+        feed(profs, sparse=(0,))
+        assert not ctrl.tick(2000.0)  # epoch 1: below the floor, contained
         assert ctrl.last_decision.ways == good  # history unchanged
         assert l2.partition_map is before  # nothing reinstalled
-        assert guard.events and guard.events[-1].kind == "fallback"
+        fault, fallback = ctrl.guard.events
+        assert fault.kind == "fault"
+        assert fault.detail == "core 0 (w0): 40 observations, need 100"
+        assert fallback.kind == "fallback"
+        assert fallback.detail == "holding last-known-good partition"
 
-    def test_sustained_fault_descends_to_equal_then_frozen(self):
-        plan = FaultPlan((FaultSpec(0, "zero", 0),))
-        guard = make_guard(degrade_after=2, hysteresis=1)
-        ctrl, l2, profs = make_controller(guard=guard, injector=plan.injector())
+    def test_sparse_core_descends_to_equal_share(self):
+        ctrl, l2, profs = self.sparse_controller()
         now = 1000.0
-        for _ in range(2):  # two strikes -> EQUAL_SHARE
-            feed(profs)
+        for _ in range(DEGRADE_AFTER):
+            feed(profs, sparse=(0,))
             assert not ctrl.tick(now)
             now += 1000.0
-        assert guard.mode is DegradedMode.EQUAL_SHARE
+        assert ctrl.guard.mode is DegradedMode.EQUAL_SHARE
+        assert ctrl.guard.events[-1].kind == "degrade"
         assert l2.partition_map is not None
         assert set(l2.partition_map.way_vector().values()) == {16}
-        for _ in range(2):  # two more -> FROZEN
-            feed(profs)
+
+    def test_sparse_core_descends_to_frozen(self):
+        ctrl, l2, profs = self.sparse_controller()
+        now = 1000.0
+        for _ in range(DEGRADE_AFTER):
+            feed(profs, sparse=(0,))
             ctrl.tick(now)
             now += 1000.0
-        assert guard.mode is DegradedMode.FROZEN
-        assert ctrl.history == []  # never trusted a faulty decision
-
-    def test_recovery_after_fault_clears(self):
-        plan = FaultPlan((FaultSpec(0, "zero", 0, 2),))  # epochs 0-1 only
-        guard = make_guard(degrade_after=1, hysteresis=1)
-        ctrl, _, profs = make_controller(guard=guard, injector=plan.injector())
-        now = 1000.0
-        for _ in range(2):
-            feed(profs)
+        equal = l2.partition_map
+        for _ in range(DEGRADE_AFTER):
+            feed(profs, sparse=(0,))
             assert not ctrl.tick(now)
             now += 1000.0
-        assert guard.mode is not DegradedMode.NORMAL
-        installed = 0
-        for _ in range(4):
-            feed(profs)
-            installed += ctrl.tick(now)
+        assert ctrl.guard.mode is DegradedMode.FROZEN
+        assert l2.partition_map is equal  # frozen touches nothing
+        assert ctrl.history == []  # never trusted a sparse epoch
+        assert [e.detail for e in ctrl.guard.events
+                if e.kind == "degrade"] == [
+            f"{DEGRADE_AFTER} consecutive failures: degraded to equal-share",
+            f"{2 * DEGRADE_AFTER} consecutive failures: degraded to frozen",
+        ]
+
+    def test_recovery_climbs_one_rung_per_two_healthy_epochs(self):
+        ctrl, _, profs = self.sparse_controller()
+        now = 1000.0
+        for _ in range(2 * DEGRADE_AFTER):  # down to FROZEN
+            feed(profs, sparse=(0,))
+            ctrl.tick(now)
             now += 1000.0
-        assert guard.mode is DegradedMode.NORMAL
-        assert installed >= 1  # fresh decisions resumed
-        assert any(e.kind == "recover" for e in guard.events)
-
-    def test_drop_epoch_fault_skips_boundary(self):
-        plan = FaultPlan((FaultSpec(-1, "drop-epoch", 0, 1),))
-        ctrl, _, profs = make_controller(guard=make_guard(),
-                                         injector=plan.injector())
-        feed(profs)
-        assert not ctrl.tick(1000.0)  # dropped
-        assert ctrl.history == []
-        feed(profs)
-        assert ctrl.tick(2000.0)  # next boundary fires normally
-
-    def test_degenerate_fault_detected(self):
-        plan = FaultPlan((FaultSpec(3, "degenerate", 0),))
-        guard = make_guard()
-        ctrl, _, profs = make_controller(guard=guard, injector=plan.injector())
-        feed(profs)
-        assert not ctrl.tick(1000.0)
-        assert any("core 3" in e.detail for e in guard.events)
+        installed, modes = [], []
+        for _ in range(2 * HYSTERESIS_EPOCHS):
+            feed(profs)
+            installed.append(ctrl.tick(now))
+            modes.append(ctrl.guard.mode)
+            now += 1000.0
+        assert modes == [
+            DegradedMode.FROZEN, DegradedMode.EQUAL_SHARE,
+            DegradedMode.EQUAL_SHARE, DegradedMode.NORMAL,
+        ]
+        # only the epoch back on the top rung installs a fresh decision
+        assert installed == [False, False, False, True]
+        assert [e.kind for e in ctrl.guard.events[-2:]] == [
+            "recover", "recover",
+        ]
 
 
-class TestFaultedSimulation:
-    """Acceptance: corrupted profilers on 2 of 8 cores are contained."""
+class TestLadderInFaultFreeRuns:
+    """Set 8 under ``bank-bw`` with 25 k-cycle epochs: eon on core 1, then
+    ammp on core 0, keep failing the per-core observation floor, so a run
+    with no fault injected reaches both lower rungs — identically on both
+    engines."""
 
-    SETTINGS = RunSettings(duration_cycles=500_000.0, seed=3)
+    CFG = scaled_config(8, epoch_cycles=25_000)
 
-    def test_faulted_run_completes_and_healthy_cores_unharmed(self):
-        mix = TABLE_III_SETS[1]
-        clean = run_mix(mix, "bank-aware", CFG, self.SETTINGS)
-        plan = FaultPlan.parse("0:zero@1,4:degenerate@1", seed=5)
-        faulted = run_mix(
-            mix, "bank-aware", CFG,
-            RunSettings(duration_cycles=500_000.0, seed=3, fault_plan=plan),
-        )
-        assert faulted.guard_events, "guard must log the fallbacks"
-        kinds = {e[1] for e in faulted.guard_events}
-        assert "fault" in kinds and "fallback" in kinds
-        for core in range(2, 4):  # healthy cores far from the faulted pair
-            a, b = clean.cores[core], faulted.cores[core]
-            assert b.miss_rate == pytest.approx(a.miss_rate, abs=0.05)
+    def test_set8_bank_bw_reaches_frozen_on_both_engines(self):
+        results = [
+            run_mix(
+                TABLE_III_SETS[7], "bank-bw", self.CFG,
+                RunSettings(duration_cycles=1_500_000.0, seed=7,
+                            sim_backend=backend),
+            )
+            for backend in ("reference", "batched")
+        ]
+        ref, batched = results
+        assert ref.to_dict() == batched.to_dict()
+        assert len(ref.epochs) == 2
+        assert len(ref.guard_events) == 114
+        assert [(round(t), mode) for t, kind, _, mode in ref.guard_events
+                if kind == "degrade"] == [
+            (150_111, "equal-share"), (225_085, "frozen"),
+        ]
+        faults = [d for _, kind, d, _ in ref.guard_events if kind == "fault"]
+        assert len(faults) == 57
+        assert all(d.endswith("observations, need 125") for d in faults)
 
 
 # --------------------------------------------------------------------------
@@ -711,9 +670,8 @@ class TestDetailedSweepResume:
          ("memory.latency_cycles",)),
         (CFG, {"warmup_fraction": 0.25}, ("warmup_fraction",)),
         (CFG, {"placement": "parallel"}, ("placement",)),
-        (CFG, {"fault_plan": FaultPlan.parse("0:zero@0")}, ("fault_plan",)),
     ], ids=["scale", "num_banks", "memory_latency", "warmup_fraction",
-            "placement", "fault_plan"])
+            "placement"])
     def test_resume_with_other_parameters_is_refused(
         self, tmp_path, cfg, change, keys
     ):
@@ -722,6 +680,19 @@ class TestDetailedSweepResume:
         with pytest.raises(CheckpointMismatchError) as exc_info:
             self._sweep(path, cfg, resume=True, **change)
         assert exc_info.value.mismatched == keys
+
+    def test_snapshot_naming_retired_keys_is_refused(self, tmp_path):
+        """A snapshot whose metadata holds keys the sweep no longer
+        records (two of the retired guard settings) is refused, naming
+        them."""
+        path = str(tmp_path / "sweep.json")
+        self._sweep(path)
+        meta, completed = load_checkpoint(path, "detailed-sweep")
+        retired = {"resilience.degrade_after": 3, "resilience.min_ways": 1}
+        save_checkpoint(path, "detailed-sweep", {**meta, **retired}, completed)
+        with pytest.raises(CheckpointMismatchError) as exc_info:
+            self._sweep(path, resume=True)
+        assert exc_info.value.mismatched == tuple(sorted(retired))
 
     def test_resume_ignores_what_cannot_change_a_result(self, tmp_path):
         path = str(tmp_path / "sweep.json")
@@ -743,11 +714,11 @@ class TestDetailedSweepResume:
 class TestResilienceConfig:
     def test_defaults_validate(self):
         ResilienceConfig().validate()
-        assert CFG.resilience.guard_enabled
+        assert CFG.resilience == ResilienceConfig()
 
+    # kw0-kw2 were the ladder knobs, now constants in repro.resilience.guard
     @pytest.mark.parametrize("kw", [
-        {"hysteresis_epochs": 0}, {"degrade_after": 0},
-        {"min_ways": 0}, {"checkpoint_every": 0},
+        pytest.param({"checkpoint_every": 0}, id="kw3"),
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
